@@ -17,19 +17,12 @@ the reliability layer (acks + retries) and soft-state refresh enabled,
 measuring the delivery ratio the ack/retry machinery actually achieves
 on a lossy fabric.
 
-The scenario bodies live in :mod:`repro.perf.parallel` as sweep-cell
-runners (workers must be able to import them); this bench is one thin
-projection of those cells, fanned across ``REPRO_SWEEP_JOBS`` worker
-processes when set — the merged series are byte-identical to a serial
-run either way.
+``churn_system`` is shared with ``bench_replication_availability``.
 """
 
-import os
-
 from repro.bench import format_series
-from repro.perf.parallel import SweepCell, run_cell, run_cells
-
-SWEEP_JOBS = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
+from repro.core import KIND, MiddlewareConfig, SimilarityQuery, StreamIndexSystem, WorkloadConfig
+from repro.workload import ChurnWorkload
 
 N_NODES = 24
 MEASURE_MS = 25_000.0
@@ -37,48 +30,94 @@ CHURN_RATES = (0.0, 0.1, 0.3)  # events/s, each for failures AND joins
 LOSS_RATES = (0.0, 0.02, 0.05, 0.10)  # per-hop loss, at fixed 0.1/s churn
 
 
-def _churn_cell(rate, seed):
-    return SweepCell(
-        runner="churn_availability",
-        label=f"churn/r{rate}",
-        scenario="churn_availability",
-        n_nodes=N_NODES,
-        seed=seed,
-        params=(("measure_ms", MEASURE_MS), ("rate", rate)),
-    )
+def churn_system(n_nodes, seed, config, rate, measure_ms):
+    """N nodes, one stream each, Poisson crash/join churn, one long query.
 
+    The client (node 0) and the donor whose stream the query copies
+    (node 4) are protected from churn.  The query is posted at stats
+    reset and lives past the ``measure_ms`` window that is then run.
+    """
+    system = StreamIndexSystem(n_nodes, config, seed=seed, with_stabilizer=True)
+    system.attach_random_walk_streams()
+    system.warmup()
 
-def _loss_cell(loss, seed):
-    return SweepCell(
-        runner="loss_availability",
-        label=f"loss/p{loss}",
-        scenario="loss_availability",
-        n_nodes=N_NODES,
-        seed=seed,
-        params=(("churn_rate", 0.1), ("loss", loss), ("measure_ms", MEASURE_MS)),
+    client = system.app(0)
+    donor_app = system.app(4)
+    donor = next(iter(donor_app.sources.values()))
+    churn = ChurnWorkload(
+        system,
+        fail_rate_per_s=rate,
+        join_rate_per_s=rate,
+        protect=[client.node_id, donor_app.node_id],
+    ).start()
+
+    system.reset_stats()
+    query = SimilarityQuery(
+        pattern=donor.extractor.window.values(),
+        radius=0.4,
+        lifespan_ms=measure_ms + 5_000.0,
     )
+    qid = client.post_similarity_query(query)
+    system.run(measure_ms)
+    churn.stop()
+    return system, client, churn, qid, query
 
 
 def run_at(rate, seed=7):
-    return run_cell(_churn_cell(rate, seed))["values"]
+    """Update and query availability at one churn rate."""
+    config = MiddlewareConfig(
+        window_size=64,
+        batch_size=2,
+        workload=WorkloadConfig(qrate_per_s=0.0),
+    )
+    system, client, churn, qid, _ = churn_system(N_NODES, seed, config, rate, MEASURE_MS)
+    stats = system.network.stats
+    seconds = MEASURE_MS / 1000.0
+    live = sum(1 for a in system.all_apps if a.node.alive)
+    return {
+        "mbr rate /node/s": stats.originations[KIND.MBR] / live / seconds,
+        "responses received": len(client.similarity_results[qid]) and 1.0 or 0.0,
+        "matches": float(len(client.similarity_results[qid])),
+        "failures": float(churn.failures),
+        "joins": float(churn.joins),
+    }
 
 
 def run_lossy(loss, seed=7):
-    return run_cell(_loss_cell(loss, seed))["values"]
+    """Delivery at one per-hop loss rate, under 0.1/s churn."""
+    config = MiddlewareConfig(
+        window_size=64,
+        batch_size=2,
+        reliable_delivery=True,
+        refresh_period_ms=2_000.0,
+        loss_rate=loss,
+        duplicate_rate=0.01,
+        workload=WorkloadConfig(qrate_per_s=0.0),
+    )
+    system, client, _, qid, _ = churn_system(N_NODES, seed, config, 0.1, MEASURE_MS)
+    stats = system.network.stats
+    return {
+        "delivery ratio": stats.delivery_ratio(),
+        "eventual delivery": system.eventual_delivery_ratio(),
+        "retransmissions": float(sum(stats.retransmissions.values())),
+        "dead letters": float(sum(stats.dead_letters.values())),
+        "drops": float(stats.total_drops()),
+        "matches": float(len(client.similarity_results[qid])),
+    }
 
 
-def _merge_series(results):
+def merge_series(rows):
+    """Column-major merge of per-x value dicts, in x order."""
     series = {}
-    for result in results:
-        for key, value in result["values"].items():
+    for row in rows:
+        for key, value in row.items():
             series.setdefault(key, []).append(value)
     return series
 
 
 def test_availability_under_churn(benchmark, save_result):
     def compute():
-        cells = [_churn_cell(rate, 7) for rate in CHURN_RATES]
-        return _merge_series(run_cells(cells, jobs=SWEEP_JOBS))
+        return merge_series(run_at(rate) for rate in CHURN_RATES)
 
     series = benchmark.pedantic(compute, rounds=1, iterations=1)
     save_result(
@@ -105,8 +144,7 @@ def test_availability_under_churn(benchmark, save_result):
 
 def test_availability_under_loss(benchmark, save_result):
     def compute():
-        cells = [_loss_cell(loss, 7) for loss in LOSS_RATES]
-        return _merge_series(run_cells(cells, jobs=SWEEP_JOBS))
+        return merge_series(run_lossy(loss) for loss in LOSS_RATES)
 
     series = benchmark.pedantic(compute, rounds=1, iterations=1)
     save_result(

@@ -12,9 +12,8 @@ at ``v ∈ {1, 4, 16}`` virtual nodes and asserts the §13 claim:
   inside the hot band → more physical owners sharing it);
 * at ``v = 16`` the skew is under half its ``v = 1`` value.
 
-The same scenario is committed to ``BENCH_perf.json`` (``zipf_hotkey``)
-and gated in CI (``zipf-hotkey-smoke``); EXPERIMENTS.md discusses the
-expected curves and how adaptive remapping and admission control
+CI runs this bench in its ``bench-smoke`` job; EXPERIMENTS.md discusses
+the expected curves and how adaptive remapping and admission control
 compose with the vnode lever.
 """
 

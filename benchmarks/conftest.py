@@ -17,7 +17,6 @@ a regime its (smoother, lower-|X1|) trace data apparently avoided.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
@@ -29,12 +28,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: the configuration the scalability figures run at (Table I workload)
 BENCH_CONFIG = MiddlewareConfig(batch_size=1)
-
-#: worker processes for sweep fills — every sweep point is an
-#: independent simulation, so the parallel fill is byte-identical to
-#: the serial one (repro.perf.parallel); opt in via the environment:
-#:     REPRO_SWEEP_JOBS=4 pytest benchmarks/ --benchmark-only
-SWEEP_JOBS = int(os.environ.get("REPRO_SWEEP_JOBS", "1"))
 
 
 def pytest_addoption(parser):
@@ -64,7 +57,7 @@ def vnodes(request) -> int:
 @pytest.fixture(scope="session")
 def sweep() -> SweepCache:
     """The shared measured-run cache for all figure benches."""
-    return SweepCache(config=BENCH_CONFIG, seed=0, jobs=SWEEP_JOBS)
+    return SweepCache(config=BENCH_CONFIG, seed=0)
 
 
 @pytest.fixture(scope="session")

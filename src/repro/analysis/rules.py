@@ -737,8 +737,8 @@ class PerfTimerContainmentRule(LintRule):
                     self.report(
                         node,
                         f"perf timer call `{dotted}` outside repro/perf and "
-                        "benchmarks/; route measurement through the bench "
-                        "harness (see PERFORMANCE.md)",
+                        "benchmarks/; route measurement through "
+                        "benchmarks/suite",
                     )
                     break
         self.generic_visit(node)
@@ -751,16 +751,16 @@ class PerfTimerContainmentRule(LintRule):
 class ProcessSpawnContainmentRule(LintRule):
     """Worker processes are spawned in ``repro/perf`` and ``benchmarks`` only.
 
-    The sweep fan-out (:mod:`repro.perf.parallel`) is deliberately the
-    single place that forks: its merge step is what guarantees parallel
-    results are byte-identical to serial ones (results reassembled in
-    cell order, every cell a pure function of its picklable spec).  A
-    ``multiprocessing`` import or ``os.fork`` elsewhere would create a
-    second fan-out path without that contract — completion-order
-    merges, shared-state mutation across forks, and RNG streams split
-    outside the per-cell registries are exactly the nondeterminism this
-    codebase exists to exclude.  Route parallelism through
-    ``repro.perf.parallel.run_cells`` instead.
+    The sharded runner (:mod:`repro.perf.shards`) is deliberately the
+    single place in the source tree that forks: its barrier merge is
+    what guarantees sharded results are byte-identical to serial ones
+    (exported messages merged in ``(deliver_time, shard, seq)`` order,
+    every worker a full deterministic replica).  A ``multiprocessing``
+    import or ``os.fork`` elsewhere would create a second fan-out path
+    without that contract — completion-order merges, shared-state
+    mutation across forks, and RNG streams split outside the per-run
+    registries are exactly the nondeterminism this codebase exists to
+    exclude.  Route parallelism through ``repro.perf.shards`` instead.
     """
 
     code = "D009"
@@ -783,7 +783,7 @@ class ProcessSpawnContainmentRule(LintRule):
                     node,
                     f"import of `{alias.name}` outside repro/perf and "
                     "benchmarks/; fan work out through "
-                    "repro.perf.parallel.run_cells",
+                    "repro.perf.shards",
                 )
         self.generic_visit(node)
 
@@ -794,7 +794,7 @@ class ProcessSpawnContainmentRule(LintRule):
                 node,
                 f"import from `{module}` outside repro/perf and "
                 "benchmarks/; fan work out through "
-                "repro.perf.parallel.run_cells",
+                "repro.perf.shards",
             )
         elif module == "os":
             for alias in node.names:
@@ -803,7 +803,7 @@ class ProcessSpawnContainmentRule(LintRule):
                         node,
                         f"import of `os.{alias.name}` outside repro/perf "
                         "and benchmarks/; fan work out through "
-                        "repro.perf.parallel.run_cells",
+                        "repro.perf.shards",
                     )
         self.generic_visit(node)
 
@@ -816,7 +816,7 @@ class ProcessSpawnContainmentRule(LintRule):
                         node,
                         f"process fork `{dotted}` outside repro/perf and "
                         "benchmarks/; fan work out through "
-                        "repro.perf.parallel.run_cells",
+                        "repro.perf.shards",
                     )
                     break
         self.generic_visit(node)

@@ -6,18 +6,11 @@ Table I workload; several figures read different projections of the
 :class:`SweepCache` makes those runs once per (N, radius, config) and
 hands each bench its projection, so the full benchmark suite stays
 affordable.
-
-With ``jobs > 1`` the cache fans missing runs out across worker
-processes (:mod:`repro.perf.parallel`) before projecting; each sweep
-point is an independent simulation, so the parallel fill produces
-byte-identical series to the serial one — cached entries are then
-:class:`~repro.perf.parallel.SnapshotRun` stand-ins rebuilt from the
-workers' stats snapshots.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.config import MiddlewareConfig
 from ..workload.scenario import MeasuredRun, run_measured
@@ -42,17 +35,13 @@ class SweepCache:
         measure_ms: float = DEFAULT_MEASURE_MS,
         warmup_extra_ms: float = DEFAULT_WARMUP_EXTRA_MS,
         hit_fraction: float = 0.5,
-        jobs: int = 1,
     ) -> None:
         self.config = config if config is not None else MiddlewareConfig()
         self.seed = seed
         self.measure_ms = measure_ms
         self.warmup_extra_ms = warmup_extra_ms
         self.hit_fraction = hit_fraction
-        self.jobs = jobs
-        # serial fills hold live MeasuredRuns; parallel fills hold
-        # SnapshotRun stand-ins (same projection interface)
-        self._runs: Dict[Tuple[int, float], Union[MeasuredRun, "object"]] = {}
+        self._runs: Dict[Tuple[int, float], MeasuredRun] = {}
 
     def run(self, n_nodes: int, *, radius: Optional[float] = None) -> MeasuredRun:
         """The measured run for (N, radius), computed once."""
@@ -70,39 +59,6 @@ class SweepCache:
             )
         return self._runs[key]
 
-    def prefetch(
-        self, node_counts: Iterable[int], *, radius: Optional[float] = None
-    ) -> None:
-        """Fill the cache for the given Ns, in parallel when jobs > 1.
-
-        Worker processes return stats snapshots; the cached entries are
-        snapshot-backed run stand-ins whose figure projections are
-        byte-identical to the live runs a serial fill would produce
-        (pinned by tests/perf/test_parallel.py).
-        """
-        r = radius if radius is not None else self.config.query_radius
-        missing = [n for n in node_counts if (n, r) not in self._runs]
-        if self.jobs <= 1 or len(missing) <= 1:
-            for n in missing:
-                self.run(n, radius=radius)
-            return
-        from ..perf.parallel import measured_cell, run_cells, snapshot_run
-
-        cells = [
-            measured_cell(
-                n,
-                config=self.config,
-                seed=self.seed,
-                radius=r,
-                hit_fraction=self.hit_fraction,
-                warmup_extra_ms=self.warmup_extra_ms,
-                measure_ms=self.measure_ms,
-            )
-            for n in missing
-        ]
-        for n, result in zip(missing, run_cells(cells, jobs=self.jobs)):
-            self._runs[(n, r)] = snapshot_run(result)
-
     # ------------------------------------------------------------------
     # figure projections
     # ------------------------------------------------------------------
@@ -110,8 +66,6 @@ class SweepCache:
         self, node_counts: Iterable[int], *, radius: Optional[float] = None
     ) -> Dict[str, List[float]]:
         """Fig. 6(a): load components across the N sweep."""
-        node_counts = list(node_counts)
-        self.prefetch(node_counts, radius=radius)
         series: Dict[str, List[float]] = {}
         for n in node_counts:
             load = self.run(n, radius=radius).metrics.load_components()
@@ -123,8 +77,6 @@ class SweepCache:
         self, node_counts: Iterable[int], *, radius: Optional[float] = None
     ) -> Dict[str, List[float]]:
         """Fig. 7: overhead components across the N sweep."""
-        node_counts = list(node_counts)
-        self.prefetch(node_counts, radius=radius)
         series: Dict[str, List[float]] = {}
         for n in node_counts:
             over = self.run(n, radius=radius).metrics.overhead_components()
@@ -136,8 +88,6 @@ class SweepCache:
         self, node_counts: Iterable[int], *, radius: Optional[float] = None
     ) -> Dict[str, List[float]]:
         """Fig. 8: hop components across the N sweep."""
-        node_counts = list(node_counts)
-        self.prefetch(node_counts, radius=radius)
         series: Dict[str, List[float]] = {}
         for n in node_counts:
             hops = self.run(n, radius=radius).metrics.hop_components()

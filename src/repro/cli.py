@@ -10,7 +10,6 @@ Usage (also via ``python -m repro``)::
     python -m repro distribution --nodes 100
     python -m repro baselines --nodes 50
     python -m repro lossy --nodes 50 --loss 0.05 --churn 0.1 --duration 20
-    python -m repro bench --quick
     python -m repro shard --jobs 4 --check
     python -m repro lint src
     python -m repro protocol [--json]
@@ -137,54 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 1 on violation)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf suite and write a schema-versioned "
-        "BENCH_perf.json (see PERFORMANCE.md)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller scenario sizes (CI smoke profile)",
-    )
-    bench.add_argument(
-        "--only",
-        nargs="+",
-        metavar="SCENARIO",
-        help="run only the named scenario(s)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        help="report path (default: BENCH_perf.json in the cwd)",
-    )
-    bench.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="compare events/s against a baseline report; exit 1 on "
-        "regression beyond --max-regression",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed fractional events/s drop vs --check (default 0.25)",
-    )
-    bench.add_argument(
-        "--speedup-ref",
-        default=None,
-        help="pre-optimization reference report used to annotate "
-        "speedups (default: benchmarks/perf_prepr.json if present)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan scenarios out across N worker processes (each measured "
-        "in its own process; default 1 = in-process serial)",
-    )
-
     shard = sub.add_parser(
         "shard",
         help="run one scenario sharded across worker processes with a "
@@ -219,36 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-run serially and verify byte-identical stats "
         "(exit 1 on mismatch)",
-    )
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run the full experiment sweep (Fig. 6-8 + churn/loss) "
-        "across worker processes and write SWEEP_results.json; "
-        "the document is byte-identical for any --jobs value",
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to fan sweep cells across (default 1)",
-    )
-    sweep.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller node counts and windows (CI smoke profile)",
-    )
-    sweep.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sweep.add_argument(
-        "--output",
-        default=None,
-        help="result path (default: SWEEP_results.json in the cwd)",
-    )
-    sweep.add_argument(
-        "--check",
-        action="store_true",
-        help="re-run serially and verify the parallel document is "
-        "byte-identical (exit 1 on mismatch)",
     )
 
     lint = sub.add_parser(
@@ -726,23 +647,6 @@ def _settle_and_check(system, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args, out) -> int:
-    from .perf.harness import DEFAULT_REPORT_PATH, SPEEDUP_REF_PATH, run_bench
-
-    return run_bench(
-        output=args.output if args.output is not None else DEFAULT_REPORT_PATH,
-        quick=args.quick,
-        only=args.only,
-        check=args.check,
-        max_regression=args.max_regression,
-        speedup_ref=(
-            args.speedup_ref if args.speedup_ref is not None else SPEEDUP_REF_PATH
-        ),
-        jobs=args.jobs,
-        out=out,
-    )
-
-
 def cmd_shard(args, out) -> int:
     from .perf.shards import run_shard_suite
 
@@ -753,19 +657,6 @@ def cmd_shard(args, out) -> int:
         check=args.check,
         output=args.output,
         echo=lambda msg: print(msg, file=out),
-    )
-
-
-def cmd_sweep(args, out) -> int:
-    from .perf.parallel import DEFAULT_SWEEP_PATH, run_sweep
-
-    return run_sweep(
-        jobs=args.jobs,
-        quick=args.quick,
-        seed=args.seed,
-        output=args.output if args.output is not None else DEFAULT_SWEEP_PATH,
-        check=args.check,
-        out=out,
     )
 
 
@@ -1064,9 +955,7 @@ _COMMANDS = {
     "distribution": cmd_distribution,
     "baselines": cmd_baselines,
     "lossy": cmd_lossy,
-    "bench": cmd_bench,
     "shard": cmd_shard,
-    "sweep": cmd_sweep,
     "lint": cmd_lint,
     "protocol": cmd_protocol,
     "flow": cmd_flow,

@@ -149,12 +149,6 @@ class MiddlewareConfig:
         :class:`~repro.sim.faults.FaultPlan` is given to the system) the
         network drops / duplicates each hop with these probabilities and
         jitters the hop delay by ``± delay_jitter_ms``.
-    scheduler:
-        Event-queue backend of the simulation engine: ``"heap"`` (binary
-        heap, the differential-testing oracle) or ``"calendar"``
-        (bucketed calendar queue).  Both produce the identical event
-        order, so results never depend on this knob — only wall-clock
-        does (see PERFORMANCE.md).
     virtual_nodes:
         ``v``: ring identifiers (tokens) owned by every physical data
         center (DESIGN.md §13).  Each token is a full Chord node with
@@ -224,7 +218,6 @@ class MiddlewareConfig:
     loss_rate: float = 0.0
     duplicate_rate: float = 0.0
     delay_jitter_ms: float = 0.0
-    scheduler: str = "heap"
     virtual_nodes: int = 1
     adaptive_mapping: bool = False
     adaptive_refit_interval_rounds: int = 8
@@ -274,8 +267,6 @@ class MiddlewareConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.delay_jitter_ms < 0:
             raise ValueError("delay_jitter_ms must be non-negative")
-        if self.scheduler not in ("heap", "calendar"):
-            raise ValueError(f"unknown scheduler backend {self.scheduler!r}")
         if self.virtual_nodes < 1:
             raise ValueError("virtual_nodes must be >= 1")
         if self.adaptive_refit_interval_rounds < 1:

@@ -78,7 +78,7 @@ class StreamIndexSystem:
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.config = config if config is not None else MiddlewareConfig()
-        self.sim = Simulator(backend=self.config.scheduler)
+        self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         if fault_plan is None:
             fault_plan = self._plan_from_config(self.config)

@@ -272,6 +272,8 @@ class PeerNode:
         self._refresh_handle = None
         self._stopping = asyncio.Event()
         self._stream_feed: Dict[str, Deque[float]] = {}
+        #: well-framed frames dropped for a missing key or a wrong type
+        self.bad_frames = 0
         self.log: Callable[[str], None] = lambda line: print(
             line, file=sys.stderr, flush=True
         )
@@ -383,7 +385,13 @@ class PeerNode:
                 if not data:
                     return
                 for obj in decoder.feed(data):
-                    self._on_frame(obj, writer)
+                    try:
+                        self._on_frame(obj, writer)
+                    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                        # a valid frame with garbage content: drop it,
+                        # keep the connection (WireError is a ValueError)
+                        self.bad_frames += 1
+                        self.log(f"[{self.name}] dropped bad frame: {exc!r}")
         except asyncio.CancelledError:
             return  # node shutting down: close quietly
         except (OSError, wire.WireError) as exc:
@@ -456,6 +464,7 @@ class PeerNode:
                 "members": self._member_rows(),
                 "held": sorted(self.app.index._mbrs.keys()),
                 "streams": sorted(self.app.sources.keys()),
+                "bad_frames": self.bad_frames,
             }
         except Exception as exc:  # RPC errors go back to the client
             return {"t": "error", "error": f"{type(exc).__name__}: {exc}"}

@@ -1,11 +1,10 @@
-"""Performance instrumentation and the ``repro bench`` harness.
+"""Performance instrumentation and the sharded runner.
 
-This package is the **only** place in the source tree where wall-clock
-timing is allowed (simlint D008 machine-enforces the boundary): the
-simulated world (``sim``/``chord``/``core``) stays a pure function of
-``(config, seed)`` and exposes its cost through *deterministic op
-counters* instead, while this package correlates those counts with
-wall time, memory and throughput.
+This package is one of the two places in the source tree where wall-clock
+timing is allowed (simlint D008 machine-enforces the boundary; the
+other is ``benchmarks/``): the simulated world (``sim``/``chord``/``core``)
+stays a pure function of ``(config, seed)`` and exposes its cost through
+*deterministic op counters* instead.
 
 Layout
 ------
@@ -15,26 +14,16 @@ Layout
     :mod:`repro.chord.routing`, :mod:`repro.core.runtime`).  Counting is
     off by default and costs one module-attribute load + ``None`` check
     per site when disabled.
-``schema``
-    The versioned ``BENCH_perf.json`` document model: build, validate,
-    round-trip, and regression-compare bench reports.
-``harness``
-    The canonical scenario suite behind ``python -m repro bench`` (ring
-    build, Fig. 6(a) load scenario, lossy seed-11, incremental-DFT
-    microbench) with wall-time / peak-RSS / events-per-second
-    measurement.
+``shards``
+    The conservative time-barrier parallel runner behind
+    ``python -m repro shard``; its merged stats ledger is byte-identical
+    to a serial run.
 
-See PERFORMANCE.md for the methodology and the measured numbers.
+Wall time, memory and throughput are measured by the reference
+benchmark in ``benchmarks/suite/`` (see its README.md).
 """
 
 from .counters import OpCounters, counting, install, installed, uninstall
-from .schema import (
-    BENCH_SCHEMA_VERSION,
-    BenchReport,
-    compare_reports,
-    load_report,
-    validate_report,
-)
 
 __all__ = [
     "OpCounters",
@@ -42,9 +31,4 @@ __all__ = [
     "install",
     "installed",
     "uninstall",
-    "BENCH_SCHEMA_VERSION",
-    "BenchReport",
-    "compare_reports",
-    "load_report",
-    "validate_report",
 ]

@@ -1,8 +1,7 @@
 """Sharded ring simulation: one scenario, many worker processes.
 
-The parallel sweep runner (:mod:`repro.perf.parallel`) parallelises
-*across* scenario cells; this module parallelises *within* one cell by
-partitioning the Chord ring across ``K`` forked workers.  The design is
+This module parallelises *within* one scenario by partitioning the
+Chord ring across ``K`` forked workers.  The design is
 conservative parallel discrete-event simulation with a fixed lookahead:
 
 * Every worker builds the **full deterministic replica** of the system
@@ -29,8 +28,7 @@ conservative parallel discrete-event simulation with a fixed lookahead:
   **replayed** from per-shard delivery logs in merged time order, so
   the sharded run reproduces the single-process stats CSV byte for
   byte.  ``--check`` re-runs the scenario serially in-process and
-  compares the two CSVs, the same contract ``repro sweep --check``
-  enforces for the parallel sweep.
+  compares the two CSVs.
 
 Envelope: sharding (K > 1) requires a loss/duplication/jitter-free
 network (the fault injector rewrites delays, breaking the lookahead
@@ -72,7 +70,7 @@ class ShardEnvelopeError(RuntimeError):
 # scenario definitions
 # ----------------------------------------------------------------------
 class _Fig6aScenario:
-    """The Fig. 6(a) load point (mirrors ``perf.harness._scenario_fig6a``)."""
+    """The Fig. 6(a) load point: N=50, Table I workload, ``batch_size=1``."""
 
     name = "fig6a"
     shardable = True
@@ -108,7 +106,7 @@ class _Fig6aScenario:
 
 
 class _LossySeed11Scenario:
-    """The lossy churn pin (mirrors ``perf.harness._scenario_lossy_seed11``).
+    """The lossy churn pin (the scenario of ``tests/integration/test_determinism.py``).
 
     Not shardable: the fault injector's loss/duplication decisions apply
     at ``hop`` time on the sending shard, but its jittered duplicate

@@ -11,24 +11,12 @@ Design notes
   runtime constants (50 ms per routing hop, 150-250 ms stream periods,
   2 s notification period, 5 s MBR lifespan) are all naturally expressed
   in this unit.
-* Two interchangeable event-queue backends implement the same
-  ``(time, seq)`` total order (``seq`` is a monotonically increasing
-  tiebreaker, so same-instant events fire in FIFO order and the
-  simulation is fully deterministic):
-
-  - ``"heap"`` — a binary heap of ``(time, seq, handle)`` tuples
-    (``heapq``).  Entries stay plain tuples on purpose: heap sifting
-    then compares floats/ints at C speed instead of calling a
-    Python-level ``__lt__``.  This is the differential-testing oracle.
-  - ``"calendar"`` — a bucketed :class:`CalendarQueue` (Brown 1988)
-    tuned for the paper's periodic-tick event distribution, giving
-    amortised O(1) enqueue/dequeue independent of queue length.  See
-    PERFORMANCE.md for the bucket-sizing heuristics and for when the
-    heap backend still wins.
-
-  Both backends pop the **exact same event sequence** for a given
-  schedule history; ``tests/sim/test_calendar_queue.py`` and the
-  fig6a/lossy differential tests enforce this bit-for-bit.
+* The event queue is a binary heap of ``(time, seq, handle)`` tuples
+  (``heapq``).  ``seq`` is a monotonically increasing tiebreaker, so
+  same-instant events fire in FIFO order and the simulation is fully
+  deterministic.  Entries stay plain tuples on purpose: heap sifting
+  then compares floats/ints at C speed instead of calling a
+  Python-level ``__lt__``.
 * Cancellation is *lazy*: :meth:`EventHandle.cancel` marks the handle and
   the main loop discards cancelled entries when they surface.  This keeps
   ``schedule``/``cancel`` at O(log n)/O(1).
@@ -37,9 +25,7 @@ Design notes
   engine holds the only reference, so steady-state scheduling allocates
   no handle objects.  Holding on to a returned handle (as timers and
   reliable-delivery retries do) simply keeps it out of the pool — a
-  retained handle is never reused under the caller's feet.  Pooling
-  works identically on both queue backends: each backend drops its
-  container reference to the entry tuple *before* the refcount check.
+  retained handle is never reused under the caller's feet.
 * The engine itself never reads wall clocks or RNGs (simlint D002/D008);
   its cost is exposed through the deterministic op counters of
   :mod:`repro.perf.counters` instead.
@@ -49,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-from bisect import insort
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..perf import counters as _opc
@@ -58,24 +43,11 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "SimulationError",
-    "CalendarQueue",
-    "SCHEDULER_BACKENDS",
-    "DEFAULT_SCHEDULER",
 ]
 
 #: free-list bound: enough to absorb any realistic cancelled-entry burst
 #: without letting a pathological one pin memory.
 _POOL_LIMIT = 4096
-
-#: the queue backends :class:`Simulator` accepts.
-SCHEDULER_BACKENDS = ("heap", "calendar")
-
-#: backend used when none is requested.  The heap is kept as the default
-#: production backend and differential oracle; the calendar queue is a
-#: drop-in alternative selected per-run (``Simulator(backend=...)`` or
-#: ``MiddlewareConfig.scheduler``).  PERFORMANCE.md records the measured
-#: crossover between the two on this repo's workloads.
-DEFAULT_SCHEDULER = "heap"
 
 
 class SimulationError(RuntimeError):
@@ -141,204 +113,11 @@ class EventHandle:
 _Entry = Tuple[float, int, EventHandle]
 
 
-class CalendarQueue:
-    """A bucketed priority queue over ``(time, seq, handle)`` entries.
-
-    The classic calendar-queue structure (R. Brown, CACM 1988): a ring
-    of ``n_buckets`` buckets, each ``width`` ms of simulated time wide.
-    An entry at time ``t`` lives in bucket ``ord(t) % n_buckets`` where
-    ``ord(t) = int(t / width)`` is the absolute *window ordinal*.  A
-    search pointer walks windows in order; within one window the bucket
-    holds at most a handful of entries, kept time-sorted by C-level
-    ``bisect.insort``, so both enqueue and dequeue are amortised O(1)
-    for the periodic-tick distributions this simulator produces
-    (stream periods 150-250 ms, 2 s notifications, 50 ms hops).
-
-    Total-order contract: :meth:`pop` yields entries in exactly
-    ascending ``(time, seq)`` order — byte-identical to draining a
-    ``heapq`` of the same entries.  The window membership test uses the
-    *same* ``int(t * inv_width)`` expression as the insertion mapping,
-    so float rounding at bucket boundaries can never disagree between
-    the two sides.
-
-    Resizing: the bucket count doubles when occupancy exceeds two
-    entries per bucket and halves below a quarter entry per bucket;
-    each rebuild re-estimates the bucket width from the mean gap of the
-    64 soonest entries (the head region), clamped to
-    ``[0.001 ms, 60 000 ms]``.  Sampling the head — not the whole queue
-    — keeps a few long-lived timers (BSPAN expiries, retry backoffs)
-    from stretching the width until every near-future tick lands in one
-    bucket.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_mask",
-        "_width",
-        "_inv_width",
-        "_count",
-        "_ord",
-        "resizes",
-    )
-
-    #: bucket-count floor; resizing never shrinks below this.
-    MIN_BUCKETS = 32
-    #: width-estimate clamp (ms): keeps degenerate gap samples (bursts
-    #: of simultaneous events / a lone far-future timer) from producing
-    #: pathological bucket widths.
-    MIN_WIDTH = 1e-3
-    MAX_WIDTH = 60_000.0
-    #: number of soonest entries sampled for the width estimate.
-    SAMPLE = 64
-
-    def __init__(self, n_buckets: int = MIN_BUCKETS, width: float = 16.0) -> None:
-        if n_buckets < 1 or n_buckets & (n_buckets - 1):
-            raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width!r}")
-        self._buckets: List[List[_Entry]] = [[] for _ in range(n_buckets)]
-        self._mask = n_buckets - 1
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._count = 0
-        #: absolute window ordinal of the search pointer; a committed
-        #: lower bound on ``int(entry_time * inv_width)`` of every entry.
-        self._ord = 0
-        #: number of rebuilds performed (introspection for tests/benches).
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def n_buckets(self) -> int:
-        """Current bucket-ring size (introspection)."""
-        return self._mask + 1
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in ms (introspection)."""
-        return self._width
-
-    def push(self, entry: _Entry) -> None:
-        """Insert an entry; O(1) amortised.
-
-        The search pointer is a *lower bound* on every queued entry's
-        window ordinal.  A push into an earlier window than the pointer
-        (possible when the previous head was far in the future) simply
-        drags the pointer back, so the scan in :meth:`pop` can never
-        step over the new head.
-        """
-        o = int(entry[0] * self._inv_width)
-        if not self._count or o < self._ord:
-            self._ord = o
-        insort(self._buckets[o & self._mask], entry)
-        self._count += 1
-        if self._count > 2 * (self._mask + 1):
-            self._resize((self._mask + 1) * 2)
-
-    def pop(self, limit: Optional[float] = None) -> Optional[_Entry]:
-        """Remove and return the least ``(time, seq)`` entry.
-
-        Returns ``None`` if the queue is empty, or — when ``limit`` is
-        given — if the least entry's time exceeds ``limit`` (the entry
-        stays queued and the search pointer is left uncommitted, so a
-        later, earlier-windowed push is still found).
-        """
-        if not self._count:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        inv = self._inv_width
-        o = self._ord
-        for _ in range(mask + 1):
-            b = buckets[o & mask]
-            if b:
-                e = b[0]
-                if int(e[0] * inv) == o:
-                    if limit is not None and e[0] > limit:
-                        return None
-                    del b[0]
-                    self._count -= 1
-                    self._ord = o
-                    if self._count < (mask + 1) >> 2 and mask + 1 > self.MIN_BUCKETS:
-                        self._resize((mask + 1) >> 1)
-                    return e
-            o += 1
-        # Sparse queue: one full ring walk found nothing in-window.
-        # Fall back to a direct scan for the globally minimal head and
-        # jump the pointer to its window.
-        best: Optional[_Entry] = None
-        for b in buckets:
-            if b and (best is None or b[0] < best):
-                best = b[0]
-        assert best is not None  # count > 0 guarantees a head exists
-        if limit is not None and best[0] > limit:
-            return None
-        o = int(best[0] * inv)
-        del buckets[o & mask][0]
-        self._count -= 1
-        self._ord = o
-        return best
-
-    def _resize(self, n_new: int) -> None:
-        """Rebuild with ``n_new`` buckets and a re-estimated width."""
-        entries: List[_Entry] = []
-        for b in self._buckets:
-            entries.extend(b)
-        entries.sort()
-        # Width estimate from the mean gap of *distinct* times in the
-        # head region.  Same-instant bursts (batched MBR publishes, a
-        # churn wave) are one dequeue position each, so counting their
-        # duplicates would crush the estimate toward zero and leave
-        # every pop walking hundreds of empty windows.
-        distinct = 0
-        first = last = 0.0
-        prev = None
-        for e in entries[: self.SAMPLE]:
-            t = e[0]
-            if t != prev:
-                if distinct == 0:
-                    first = t
-                last = t
-                distinct += 1
-                prev = t
-        if distinct >= 2:
-            gap = (last - first) / (distinct - 1)
-            # ~3 distinct instants per window on a uniform spread;
-            # clamped so degenerate samples stay sane.
-            width = gap * 3.0
-            if width < self.MIN_WIDTH:
-                width = self.MIN_WIDTH
-            elif width > self.MAX_WIDTH:
-                width = self.MAX_WIDTH
-            self._width = width
-            self._inv_width = 1.0 / width
-        self._buckets = [[] for _ in range(n_new)]
-        self._mask = n_new - 1
-        inv = self._inv_width
-        if entries:
-            self._ord = int(entries[0][0] * inv)
-        # entries are globally sorted, so per-bucket append order stays
-        # ascending — no insort needed during the rebuild.
-        for e in entries:
-            self._buckets[int(e[0] * inv) & self._mask].append(e)
-        self.resizes += 1
-
-
 class Simulator:
     """A deterministic discrete-event simulator.
 
     The simulator owns the simulated clock and an event queue.  Events
     are callables scheduled with pre-bound positional arguments.
-
-    Parameters
-    ----------
-    backend:
-        Event-queue implementation: ``"heap"`` (binary heap, the
-        differential oracle) or ``"calendar"`` (bucketed calendar
-        queue).  Both produce the identical event order; see the module
-        docstring and PERFORMANCE.md.
 
     Examples
     --------
@@ -350,19 +129,10 @@ class Simulator:
     [10.0]
     """
 
-    def __init__(self, backend: str = DEFAULT_SCHEDULER) -> None:
-        if backend not in SCHEDULER_BACKENDS:
-            raise ValueError(
-                f"unknown scheduler backend {backend!r}; choose from "
-                f"{SCHEDULER_BACKENDS}"
-            )
-        self.backend = backend
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
         self._queue: List[_Entry] = []
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if backend == "calendar" else None
-        )
         self._pool: List[EventHandle] = []
         self._running: bool = False
         self._stopped: bool = False
@@ -384,8 +154,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queue entries, including not-yet-discarded cancelled ones."""
-        cal = self._cal
-        return len(cal) if cal is not None else len(self._queue)
+        return len(self._queue)
 
     @property
     def pooled_handles(self) -> int:
@@ -435,11 +204,7 @@ class Simulator:
             handle.cancelled = False
         else:
             handle = EventHandle(time, seq, fn, args)
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._queue, (time, seq, handle))
-        else:
-            cal.push((time, seq, handle))
+        heapq.heappush(self._queue, (time, seq, handle))
         c = _opc.ACTIVE
         if c is not None:
             c.inc("sim.scheduled")
@@ -469,11 +234,7 @@ class Simulator:
             handle.cancelled = False
         else:
             handle = EventHandle(time, seq, fn, args)
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._queue, (time, seq, handle))
-        else:
-            cal.push((time, seq, handle))
+        heapq.heappush(self._queue, (time, seq, handle))
         c = _opc.ACTIVE
         if c is not None:
             c.inc("sim.scheduled")
@@ -515,10 +276,7 @@ class Simulator:
         processed = 0
         discarded = 0
         try:
-            if self._cal is None:
-                processed, discarded = self._drain_heap(until, max_events)
-            else:
-                processed, discarded = self._drain_calendar(until, max_events)
+            processed, discarded = self._drain(until, max_events)
         finally:
             self._running = False
             c = _opc.ACTIVE
@@ -530,10 +288,10 @@ class Simulator:
         if until is not None and not self._stopped and self._now < until:
             self._now = until
 
-    def _drain_heap(
+    def _drain(
         self, until: Optional[float], max_events: Optional[int]
     ) -> Tuple[int, int]:
-        """The heap-backed run loop; returns (processed, discarded)."""
+        """The run loop; returns (processed, discarded)."""
         processed = 0
         discarded = 0
         queue = self._queue
@@ -573,49 +331,6 @@ class Simulator:
                 break
         return processed, discarded
 
-    def _drain_calendar(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> Tuple[int, int]:
-        """The calendar-backed run loop; returns (processed, discarded)."""
-        processed = 0
-        discarded = 0
-        cal = self._cal
-        assert cal is not None
-        pop = cal.pop
-        pool = self._pool
-        refcount = sys.getrefcount
-        while cal._count and not self._stopped:
-            entry = pop(until)
-            if entry is None:
-                break
-            time, _seq, handle = entry
-            entry = None  # drop the tuple so the refcount check holds
-            fn = handle.fn
-            if handle.cancelled or fn is None:
-                discarded += 1
-                # Inlined _recycle; see _drain_heap for the == 2 proof.
-                if len(pool) < _POOL_LIMIT and refcount(handle) == 2:
-                    handle.fn = None
-                    handle.args = ()
-                    pool.append(handle)
-                continue
-            self._now = time
-            args = handle.args
-            handle.fn = None  # mark as fired
-            handle.args = ()
-            if args:
-                fn(*args)
-            else:
-                fn()
-            # fn/args were already cleared above; just pool the handle.
-            if len(pool) < _POOL_LIMIT and refcount(handle) == 2:
-                pool.append(handle)
-            self._events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-        return processed, discarded
-
     def step(self) -> bool:
         """Execute exactly one pending event.
 
@@ -625,18 +340,9 @@ class Simulator:
             ``True`` if an event was executed, ``False`` if the queue
             was empty (cancelled entries are drained silently).
         """
-        cal = self._cal
-        while True:
-            if cal is None:
-                if not self._queue:
-                    return False
-                time, _seq, handle = heapq.heappop(self._queue)
-            else:
-                entry = cal.pop()
-                if entry is None:
-                    return False
-                time, _seq, handle = entry
-                entry = None  # drop the tuple so _recycle sees 3 references
+        queue = self._queue
+        while queue:
+            time, _seq, handle = heapq.heappop(queue)
             fn = handle.fn
             if handle.cancelled or fn is None:
                 self._recycle(handle)
@@ -655,6 +361,7 @@ class Simulator:
             if c is not None:
                 c.inc("sim.events")
             return True
+        return False
 
     def stop(self) -> None:
         """Request the current :meth:`run` loop to exit after this event."""

@@ -5,8 +5,10 @@ from repro.chord.node import ChordNode
 from repro.chord.ring import ChordRing
 from repro.chord.routing import find_successor, next_hop
 from repro.chord.stabilize import Stabilizer
+from repro.core import MiddlewareConfig, WorkloadConfig
 from repro.perf.counters import counting
 from repro.sim.engine import Simulator
+from repro.workload.scenario import run_measured
 
 
 def build_ring(n, m=16):
@@ -134,3 +136,20 @@ def test_epoch_is_shared_per_space_not_global():
     a.note_routing_change()
     assert b.routing_epoch == before
     assert a.routing_epoch != b.routing_epoch or a is b
+
+
+def test_route_memo_serves_scale_run():
+    """At N=1000 the arc-keyed memo answers > 98 % of next-hop lookups.
+
+    The Fig. 6(a) shape at scale (N=1000, w=16, k=2, one query every
+    two seconds): every node builds its arc table once and serves every
+    later lookup from it until membership changes.
+    """
+    config = MiddlewareConfig(
+        window_size=16, k=2, batch_size=1, workload=WorkloadConfig(qrate_per_s=0.5)
+    )
+    with counting() as ops:
+        run_measured(1_000, config=config, seed=0, warmup_extra_ms=1_000.0, measure_ms=3_000.0)
+    hits = ops.get("route.cache_hits")
+    lookups = hits + ops.get("route.cache_misses")
+    assert hits / lookups > 0.98

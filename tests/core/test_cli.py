@@ -45,9 +45,7 @@ def test_parser_lists_all_commands():
         "baselines",
         "ring-stats",
         "lossy",
-        "bench",
         "shard",
-        "sweep",
         "lint",
         "protocol",
         "flow",

@@ -20,6 +20,7 @@ import math
 
 from repro.core import MiddlewareConfig, StreamIndexSystem, WorkloadConfig
 from repro.core.queries import SimilarityQuery
+from repro.net import wire
 from repro.net.peer import PeerNode
 
 N_NODES = 3
@@ -140,3 +141,31 @@ def test_departed_peer_leaves_membership():
     members_after, ring_after = asyncio.run(scenario())
     assert members_after == {"dc-0"}
     assert len(ring_after) == 1
+
+
+def test_garbage_frames_are_dropped_and_connection_keeps_serving():
+    async def scenario():
+        peer = PeerNode("dc-0", "127.0.0.1", 0, make_config())
+        peer.log = lambda line: None
+        await peer.start(None)
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", peer.port)
+            # well-framed, but missing every key the handlers index
+            writer.write(wire.encode_frame({"t": "msg"}))
+            writer.write(wire.encode_frame({"t": "join"}))
+            writer.write(wire.encode_frame({"t": "status"}))
+            await writer.drain()
+            decoder = wire.FrameDecoder()
+            replies = []
+            while not replies:
+                data = await asyncio.wait_for(reader.read(65536), timeout=5.0)
+                assert data, "peer closed the connection"
+                replies.extend(decoder.feed(data))
+            writer.close()
+            return replies[0]
+        finally:
+            await peer.stop()
+
+    status = asyncio.run(scenario())
+    assert status["t"] == "status" and status["name"] == "dc-0"
+    assert status["bad_frames"] == 2

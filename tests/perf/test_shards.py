@@ -1,6 +1,6 @@
 """Sharded ring simulation: the byte-identity contract in tier 1.
 
-The `repro shard --check` CLI (and the CI `scale-smoke` job) verify the
+The `repro shard --check` CLI (and the CI `bench-smoke` job) verify the
 full profile; these tests pin the same contract on the quick profile so
 a regression in the barrier protocol or the deterministic merge fails
 the ordinary test run, not just the smoke job.

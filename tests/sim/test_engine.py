@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import SimulationError, Simulator
+from repro.sim.rng import RngRegistry
 
 
 def test_initial_state():
@@ -164,3 +165,43 @@ def test_zero_delay_event_fires_now():
     sim.schedule(0.0, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [5.0]
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_nested_scheduling_with_cancels_fires_in_time_seq_order(seed):
+    """Randomised nested schedules fire in (time, seq) order.
+
+    Callbacks schedule further events (many at equal times), every
+    seventh root event is cancelled, and the run is split at t=90 ms;
+    the trace must be time-ordered, free of cancelled events and
+    identical to an unsplit run.
+    """
+
+    def trace(split):
+        rng = RngRegistry(seed=seed).get("sched-fuzz")
+        sim = Simulator()
+        fired = []
+
+        def fire(tag, depth):
+            fired.append((sim.now, tag))
+            if depth < 3:
+                for j in range(int(rng.integers(0, 3))):
+                    delay = float(round(rng.uniform(0, 40) * 8) / 8)
+                    sim.schedule(delay, fire, f"{tag}.{j}", depth + 1)
+
+        handles = [
+            sim.schedule(float(round(rng.uniform(0, 120) * 8) / 8), fire, str(i), 0)
+            for i in range(60)
+        ]
+        for i in range(0, 60, 7):
+            handles[i].cancel()
+        if split:
+            sim.run(until=90.0)
+        sim.run()
+        return fired
+
+    fired = trace(split=True)
+    assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+    cancelled = {str(i) for i in range(0, 60, 7)}
+    assert not cancelled & {tag.split(".")[0] for _, tag in fired}
+    assert fired == trace(split=False)
