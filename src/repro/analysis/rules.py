@@ -13,9 +13,10 @@ simulated world (``sim``/``chord``/``core``), float-equality (D004)
 inside routing and index math (``chord``/``core``), while RNG hygiene
 (D001), kind registration (D005), payload-default safety (D006) and
 registry/dispatch coherence (D007) apply everywhere outside test code;
-performance-timer containment (D008) and process-spawn containment
-(D009) apply everywhere except the sanctioned measurement and
-orchestration homes (``repro/perf`` and ``benchmarks``); raw-send
+performance-timer containment (D008) applies everywhere except the
+sanctioned measurement homes (``repro/perf`` and ``benchmarks``) and
+process-spawn containment (D009) everywhere except ``benchmarks``, the
+simulator being single-process; raw-send
 containment (D010) binds inside ``chord``/``core`` outside the
 overlay/runtime/reliable modules that *are* the sanctioned send path;
 silent exception swallowing (D011) binds inside the simulated world
@@ -745,66 +746,50 @@ class PerfTimerContainmentRule(LintRule):
 
 
 # ----------------------------------------------------------------------
-# D009 — process spawning only in the perf layer and benchmarks
+# D009 — no process spawning in the source tree
 # ----------------------------------------------------------------------
 @register
 class ProcessSpawnContainmentRule(LintRule):
-    """Worker processes are spawned in ``repro/perf`` and ``benchmarks`` only.
+    """The simulator is single-process: nothing under ``src/`` forks.
 
-    The sharded runner (:mod:`repro.perf.shards`) is deliberately the
-    single place in the source tree that forks: its barrier merge is
-    what guarantees sharded results are byte-identical to serial ones
-    (exported messages merged in ``(deliver_time, shard, seq)`` order,
-    every worker a full deterministic replica).  A ``multiprocessing``
-    import or ``os.fork`` elsewhere would create a second fan-out path
-    without that contract — completion-order merges, shared-state
-    mutation across forks, and RNG streams split outside the per-run
-    registries are exactly the nondeterminism this codebase exists to
-    exclude.  Route parallelism through ``repro.perf.shards`` instead.
+    Every figure is a message count from one deterministic event loop,
+    and a serial run finishes in seconds, so there is nothing to gain
+    from fanning one run out.  A ``multiprocessing`` import or
+    ``os.fork`` would bring back exactly the nondeterminism this
+    codebase exists to exclude — completion-order merges, shared-state
+    mutation across forks, RNG streams split outside the per-run
+    registries.  Parallelism belongs *across* runs, in ``benchmarks/``
+    (and tests), which are the only exempt paths.
     """
 
     code = "D009"
-    title = "process spawning outside repro/perf and benchmarks"
+    title = "process spawning in the single-process simulator"
 
     _BANNED_MODULES = {"multiprocessing"}
     _BANNED_CALLS = ("os.fork", "os.forkpty")
     _BANNED_OS_NAMES = {"fork", "forkpty"}
+    _HINT = "the simulator is single-process; parallelise across runs in benchmarks/"
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
         if is_test_path(path):
             return False
-        return not _in_packages(path, ("perf", "benchmarks"))
+        return not _in_packages(path, ("benchmarks",))
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             if alias.name.split(".")[0] in self._BANNED_MODULES:
-                self.report(
-                    node,
-                    f"import of `{alias.name}` outside repro/perf and "
-                    "benchmarks/; fan work out through "
-                    "repro.perf.shards",
-                )
+                self.report(node, f"import of `{alias.name}`: {self._HINT}")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
         if module.split(".")[0] in self._BANNED_MODULES:
-            self.report(
-                node,
-                f"import from `{module}` outside repro/perf and "
-                "benchmarks/; fan work out through "
-                "repro.perf.shards",
-            )
+            self.report(node, f"import from `{module}`: {self._HINT}")
         elif module == "os":
             for alias in node.names:
                 if alias.name in self._BANNED_OS_NAMES:
-                    self.report(
-                        node,
-                        f"import of `os.{alias.name}` outside repro/perf "
-                        "and benchmarks/; fan work out through "
-                        "repro.perf.shards",
-                    )
+                    self.report(node, f"import of `os.{alias.name}`: {self._HINT}")
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -812,12 +797,7 @@ class ProcessSpawnContainmentRule(LintRule):
         if dotted is not None:
             for banned in self._BANNED_CALLS:
                 if dotted == banned or dotted.endswith("." + banned):
-                    self.report(
-                        node,
-                        f"process fork `{dotted}` outside repro/perf and "
-                        "benchmarks/; fan work out through "
-                        "repro.perf.shards",
-                    )
+                    self.report(node, f"process fork `{dotted}`: {self._HINT}")
                     break
         self.generic_visit(node)
 

@@ -10,7 +10,6 @@ Usage (also via ``python -m repro``)::
     python -m repro distribution --nodes 100
     python -m repro baselines --nodes 50
     python -m repro lossy --nodes 50 --loss 0.05 --churn 0.1 --duration 20
-    python -m repro shard --jobs 4 --check
     python -m repro lint src
     python -m repro protocol [--json]
     python -m repro node --listen 127.0.0.1:7000 [--join HOST:PORT]
@@ -134,42 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the run, stabilize the ring and verify the ring / "
         "index-placement / message-conservation invariants "
         "(exit 1 on violation)",
-    )
-
-    shard = sub.add_parser(
-        "shard",
-        help="run one scenario sharded across worker processes with a "
-        "deterministic barrier merge; --check verifies the merged "
-        "stats CSV is byte-identical to a serial run",
-    )
-    shard.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="ring shards / worker processes (default 2)",
-    )
-    shard.add_argument(
-        "--scenario",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="scenario(s) to run (default: all; see repro.perf.shards)",
-    )
-    shard.add_argument(
-        "--quick",
-        action="store_true",
-        help="shorter measurement interval (CI smoke profile)",
-    )
-    shard.add_argument(
-        "--output",
-        default=None,
-        help="write a JSON report of digests to this path",
-    )
-    shard.add_argument(
-        "--check",
-        action="store_true",
-        help="re-run serially and verify byte-identical stats "
-        "(exit 1 on mismatch)",
     )
 
     lint = sub.add_parser(
@@ -647,19 +610,6 @@ def _settle_and_check(system, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_shard(args, out) -> int:
-    from .perf.shards import run_shard_suite
-
-    return run_shard_suite(
-        scenarios=args.scenario,
-        jobs=args.jobs,
-        quick=args.quick,
-        check=args.check,
-        output=args.output,
-        echo=lambda msg: print(msg, file=out),
-    )
-
-
 def cmd_lint(args, out) -> int:
     from .analysis import (
         format_finding,
@@ -955,7 +905,6 @@ _COMMANDS = {
     "distribution": cmd_distribution,
     "baselines": cmd_baselines,
     "lossy": cmd_lossy,
-    "shard": cmd_shard,
     "lint": cmd_lint,
     "protocol": cmd_protocol,
     "flow": cmd_flow,

@@ -78,6 +78,10 @@ class ReliableSender:
         """Number of payloads still awaiting acknowledgement."""
         return len(self._pending)
 
+    def pending_in(self, stats) -> int:
+        """Pending payloads whose send was recorded in ledger ``stats``."""
+        return sum(1 for p in self._pending.values() if p.stats is stats)
+
     def _jitter(self) -> float:
         if self._cfg.retry_jitter_ms <= 0:
             return 0.0

@@ -120,10 +120,6 @@ class SourceService(RoleService):
         return src
 
     def _register_stream(self, stream_id: str) -> None:
-        if not self.system.executes(self.node_id):
-            # Shard-replica mode: another shard owns this node and sends
-            # the (one) registration; this replica only mirrors state.
-            return
         key = stream_identifier(stream_id, self.node.space)
         self._stats.record_origination(KIND.REGISTER)
         payload = RegisterStream(
@@ -145,12 +141,6 @@ class SourceService(RoleService):
         src.values_ingested += 1
         feature = src.extractor.push(value)
         if feature is None:
-            return
-        if not self.system.executes(self.node_id):
-            # Shard-replica mode: ingestion (generator + extractor) runs
-            # on every shard so query patterns sampled from live windows
-            # are replica-identical, but only the owning shard batches
-            # and publishes.
             return
         mbr = src.batcher.add(feature, now=self.transport.now)
         if mbr is not None:

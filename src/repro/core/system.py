@@ -176,15 +176,6 @@ class StreamIndexSystem:
         self._nper_procs: List[PeriodicProcess] = []
         self._refresh_procs: List[PeriodicProcess] = []
         self._stream_procs: List[PeriodicProcess] = []
-        #: periodic duties per node id, so a shard worker can cancel the
-        #: ones belonging to nodes it does not own (see restrict_to)
-        self._node_procs: Dict[int, List[PeriodicProcess]] = {}
-        #: node ids this replica *executes* for; ``None`` (the default)
-        #: means all of them — the ordinary single-process mode.  Shard
-        #: workers of :mod:`repro.perf.shards` build the full system
-        #: replica (so every RNG substream advances identically on every
-        #: shard) and then narrow execution to their partition.
-        self._owned: Optional[frozenset] = None
         for node in self.ring:
             app = StreamIndexNode(node, self)
             self.apps[node.node_id] = app
@@ -216,7 +207,6 @@ class StreamIndexSystem:
         """Attach the periodic NPER (and, if enabled, refresh) processes."""
         rng = self.rngs.get("nper-phase")
         nper = self.config.workload.nper_ms
-        per_node = self._node_procs.setdefault(app.node.node_id, [])
         proc = PeriodicProcess(
             self.sim,
             nper,
@@ -225,7 +215,6 @@ class StreamIndexSystem:
         )
         proc.start()
         self._nper_procs.append(proc)
-        per_node.append(proc)
         period = self.config.refresh_period_ms
         if period > 0:
             rng_r = self.rngs.get("refresh-phase")
@@ -237,38 +226,6 @@ class StreamIndexSystem:
             )
             rproc.start()
             self._refresh_procs.append(rproc)
-            per_node.append(rproc)
-
-    # ------------------------------------------------------------------
-    # sharded execution (repro.perf.shards)
-    # ------------------------------------------------------------------
-    def executes(self, node_id: int) -> bool:
-        """Whether this replica performs ``node_id``'s *active* duties.
-
-        Always true in the ordinary single-process mode.  Under
-        :meth:`restrict_to`, stream ingestion still runs everywhere (the
-        extractor windows must be replica-identical because query
-        patterns are sampled from them), but publishing, registering,
-        query posting and periodic duties execute only on the shard that
-        owns the node — deliveries for non-owned nodes arrive on their
-        owning shard, never here.
-        """
-        owned = self._owned
-        return owned is None or node_id in owned
-
-    def restrict_to(self, owned_ids) -> None:
-        """Narrow active execution to ``owned_ids`` (shard-worker mode).
-
-        Cancels the periodic NPER/refresh duties of every non-owned node
-        and records the ownership set consulted by :meth:`executes`.
-        Must be called before streams are attached, so that non-owned
-        stream *registration* sends are suppressed on this replica.
-        """
-        self._owned = frozenset(owned_ids)
-        for node_id, procs in self._node_procs.items():
-            if node_id not in self._owned:
-                for proc in procs:
-                    proc.stop()
 
     # ------------------------------------------------------------------
     @property
@@ -471,8 +428,14 @@ class StreamIndexSystem:
         self.network.stats.in_flight_at_reset = self.network.in_flight
 
     def pending_reliable(self) -> int:
-        """Reliable sends still inside their retry schedule, system-wide."""
-        return sum(app.reliable.pending_count for app in self.apps.values())
+        """Reliable sends of the current stats epoch still awaiting an ack.
+
+        Sends recorded before the last :meth:`reset_stats` are charged to
+        the old ledger, so they are not subtracted from this one's
+        attempts.
+        """
+        stats = self.network.stats
+        return sum(app.reliable.pending_in(stats) for app in self.apps.values())
 
     # ------------------------------------------------------------------
     # replication (DESIGN.md §10)

@@ -57,6 +57,11 @@ __all__ = ["AsyncioTransport", "PeerNode", "PeerSystem", "run_node", "request"]
 
 Addr = Tuple[str, int]
 
+#: Seconds a TCP connect may take before it is abandoned.  The sender is
+#: one serial task, so without a bound a single blackholed neighbour
+#: would stall all egress for the OS connect timeout.
+CONNECT_TIMEOUT_S = 5.0
+
 
 class _MeshOverlay:
     """Overlay facade over the mesh: the surface RangeMulticast needs.
@@ -232,10 +237,6 @@ class PeerSystem:
     def _node_alive(self, node_id: int) -> bool:
         return node_id in self._peer.ring.node_ids
 
-    def executes(self, node_id: int) -> bool:
-        """Socket runtime has no shard replicas: every local node runs."""
-        return True
-
 
 class PeerNode:
     """One OS-process data center: server, membership, app, transport."""
@@ -349,7 +350,9 @@ class PeerNode:
         writer = self._writers.get(addr)
         if writer is not None and not writer.is_closing():
             return writer
-        _reader, writer = await asyncio.open_connection(*addr)
+        _reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(*addr), CONNECT_TIMEOUT_S
+        )
         self._writers[addr] = writer
         return writer
 
@@ -360,11 +363,12 @@ class PeerNode:
                 writer = await self._writer_for(addr)
                 writer.write(data)
                 await writer.drain()
-            except OSError as exc:
+            except (OSError, asyncio.TimeoutError) as exc:
                 # lossy fabric semantics: the reliable layer retries,
-                # soft-state refresh heals the rest
+                # soft-state refresh heals the rest (a connect timeout
+                # is not an OSError before Python 3.11)
                 self._writers.pop(addr, None)
-                self.log(f"[{self.name}] send to {addr} failed: {exc}")
+                self.log(f"[{self.name}] send to {addr} failed: {exc!r}")
             finally:
                 self._outbox.task_done()
 
@@ -511,7 +515,9 @@ class PeerNode:
         )
 
     async def _join_cluster(self, contact: Addr) -> None:
-        reader, writer = await asyncio.open_connection(*contact)
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(*contact), CONNECT_TIMEOUT_S
+        )
         writer.write(
             wire.encode_frame(
                 {"t": "join", "name": self.name, "host": self.host, "port": self.port}
@@ -600,7 +606,7 @@ def run_node(
 
 
 async def _request_async(addr: Addr, obj: Dict[str, Any], timeout: float) -> Dict[str, Any]:
-    reader, writer = await asyncio.open_connection(*addr)
+    reader, writer = await asyncio.wait_for(asyncio.open_connection(*addr), timeout)
     try:
         writer.write(wire.encode_frame(obj))
         await writer.drain()

@@ -1,4 +1,4 @@
-"""Performance instrumentation and the sharded runner.
+"""Performance instrumentation: deterministic op counters.
 
 This package is one of the two places in the source tree where wall-clock
 timing is allowed (simlint D008 machine-enforces the boundary; the
@@ -14,10 +14,6 @@ Layout
     :mod:`repro.chord.routing`, :mod:`repro.core.runtime`).  Counting is
     off by default and costs one module-attribute load + ``None`` check
     per site when disabled.
-``shards``
-    The conservative time-barrier parallel runner behind
-    ``python -m repro shard``; its merged stats ledger is byte-identical
-    to a serial run.
 
 Wall time, memory and throughput are measured by the reference
 benchmark in ``benchmarks/suite/`` (see its README.md).

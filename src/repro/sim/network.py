@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..perf import counters as _opc
 from .engine import Simulator
@@ -35,7 +35,6 @@ __all__ = [
     "Message",
     "MessageStats",
     "Network",
-    "ShardPartition",
     "DEFAULT_HOP_DELAY_MS",
 ]
 
@@ -132,8 +131,7 @@ class MessageStats:
         #: (sum_hops, count) of delivered logical messages per kind.
         #: Plain dicts (get-or-init in ``record_delivery``) rather than
         #: ``defaultdict(lambda: ...)``: a lambda factory cannot be
-        #: pickled, and stats objects cross process boundaries in the
-        #: parallel sweep runner.
+        #: pickled, and the ledger must stay picklable.
         self.hops_by_kind: Dict[str, list] = {}
         #: (sum_latency_ms, count) of delivered logical messages per kind
         self.latency_by_kind: Dict[str, list] = {}
@@ -273,112 +271,6 @@ class MessageStats:
         lat[0] += now - msg.born
         lat[1] += 1
 
-    # -- snapshot / merge ----------------------------------------------
-    #: counters keyed by a (a, b) pair tuple — serialized as [a, b, v].
-    _PAIR_COUNTERS = ("sends", "receives", "drops_per_kind")
-    #: counters keyed by a plain kind string — serialized as [kind, v].
-    _KIND_COUNTERS = (
-        "sends_by_kind",
-        "originations",
-        "duplicates_by_kind",
-        "duplicates_suppressed",
-        "retransmissions",
-        "dead_letters",
-        "reliable_sends",
-        "reliable_acked",
-        "reliable_cancelled",
-        "unknown_payloads",
-        "read_repairs",
-        "handoffs_enqueued",
-        "handoffs_drained",
-        "publishes_shed",
-        "backpressure_signals",
-        "source_throttles",
-        "mbrs_migrated",
-    )
-    #: (sum, count) accumulator tables — serialized as [kind, sum, count].
-    _ACC_TABLES = ("hops_by_kind", "latency_by_kind")
-    #: plain scalar fields.
-    _SCALARS = ("in_flight_at_reset",)
-
-    SNAPSHOT_VERSION = 1
-
-    def to_snapshot(self) -> Dict[str, Any]:
-        """A JSON-safe, deterministic dump of every counter.
-
-        The inverse of :meth:`from_snapshot`.  Tuple counter keys become
-        sorted ``[key..., value]`` rows (JSON has no tuple keys), floats
-        survive a ``json`` round trip exactly (repr serialization of
-        binary64), and rows are sorted so two equal ledgers always
-        produce byte-identical serialized snapshots.  This is how worker
-        processes of the parallel sweep runner return their accounting.
-        """
-        snap: Dict[str, Any] = {"version": self.SNAPSHOT_VERSION}
-        for name in self._PAIR_COUNTERS:
-            counter = getattr(self, name)
-            snap[name] = sorted([a, b, v] for (a, b), v in counter.items())
-        for name in self._KIND_COUNTERS:
-            counter = getattr(self, name)
-            snap[name] = sorted([k, v] for k, v in counter.items())
-        for name in self._ACC_TABLES:
-            table = getattr(self, name)
-            snap[name] = sorted([k, acc[0], acc[1]] for k, acc in table.items())
-        for name in self._SCALARS:
-            snap[name] = getattr(self, name)
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snap: Dict[str, Any]) -> "MessageStats":
-        """Rebuild a :class:`MessageStats` from :meth:`to_snapshot` output."""
-        version = snap.get("version")
-        if version != cls.SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported MessageStats snapshot version {version!r} "
-                f"(expected {cls.SNAPSHOT_VERSION})"
-            )
-        stats = cls()
-        for name in cls._PAIR_COUNTERS:
-            counter = getattr(stats, name)
-            for a, b, v in snap.get(name, ()):
-                counter[(a, b)] = v
-        for name in cls._KIND_COUNTERS:
-            counter = getattr(stats, name)
-            for k, v in snap.get(name, ()):
-                counter[k] = v
-        for name in cls._ACC_TABLES:
-            table = getattr(stats, name)
-            for k, total, count in snap.get(name, ()):
-                table[k] = [total, count]
-        for name in cls._SCALARS:
-            setattr(stats, name, snap.get(name, 0))
-        return stats
-
-    def merge(self, other: "MessageStats") -> "MessageStats":
-        """Accumulate ``other``'s counters into this ledger (in place).
-
-        Pure element-wise addition, so merging is order-independent for
-        every integer counter; the float latency sums are added in the
-        caller's iteration order (the sweep runner merges cells in spec
-        order, keeping merged output deterministic).  Returns ``self``
-        for chaining.
-        """
-        for name in self._PAIR_COUNTERS + self._KIND_COUNTERS:
-            mine = getattr(self, name)
-            for key, v in getattr(other, name).items():
-                mine[key] += v
-        for name in self._ACC_TABLES:
-            mine = getattr(self, name)
-            for key, acc in getattr(other, name).items():
-                tgt = mine.get(key)
-                if tgt is None:
-                    mine[key] = [acc[0], acc[1]]
-                else:
-                    tgt[0] += acc[0]
-                    tgt[1] += acc[1]
-        for name in self._SCALARS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
     # -- queries -------------------------------------------------------
     def mean_hops(self, kind: str) -> float:
         """Average hop count of delivered messages of ``kind`` (0 if none)."""
@@ -452,37 +344,6 @@ class MessageStats:
         return acked / attempted if attempted > 0 else 1.0
 
 
-class ShardPartition(Protocol):
-    """Boundary between a shard-local scheduler and the rest of the ring.
-
-    When a :class:`Network` has a partition installed, hops whose
-    destination lives on another shard are *exported* instead of being
-    scheduled locally: the partition buffers the fully-computed arrival
-    (absolute deliver time, destination, continuation) and the shard
-    coordinator replays it on the owning shard at the next time barrier,
-    in a total order that reproduces the serial run exactly (see
-    :mod:`repro.perf.shards`).  The sender-side ``in_flight`` increment
-    is kept by the exporting shard; the importing shard runs
-    ``Network._arrive`` which performs the matching decrement, so the
-    conservation equation holds over the *sum* of shard gauges.
-    """
-
-    def is_local(self, node_id: int) -> bool:
-        """Whether ``node_id`` is simulated by this shard."""
-        ...
-
-    def export(
-        self,
-        deliver_time: float,
-        dst: int,
-        on_arrival: Callable[..., None],
-        cb_args: Tuple[Any, ...],
-        msg: Message,
-    ) -> None:
-        """Buffer a cross-shard arrival for replay at the next barrier."""
-        ...
-
-
 class Network:
     """Point-to-point message fabric with per-hop delay and faults.
 
@@ -523,10 +384,6 @@ class Network:
         #: conservation equation checked by
         #: :func:`repro.analysis.invariants.check_message_conservation`
         self.in_flight = 0
-        #: optional shard boundary (see :class:`ShardPartition`); when
-        #: set, hops to nodes owned by another shard are exported to the
-        #: coordinator instead of being scheduled on the local engine
-        self.partition: Optional[ShardPartition] = None
 
     def hop(
         self,
@@ -572,20 +429,6 @@ class Network:
         else:
             delay = self.hop_delay_ms
             dup_delay = None
-
-        part = self.partition
-        if part is not None and not part.is_local(dst):
-            self.in_flight += 1
-            part.export(self.sim.now + delay, dst, on_arrival, cb_args, msg)
-            if dup_delay is not None:
-                self.stats.record_duplicate(msg.kind)
-                if c is not None:
-                    c.inc("net.duplicates")
-                self.in_flight += 1
-                part.export(
-                    self.sim.now + dup_delay, dst, on_arrival, cb_args, replace(msg)
-                )
-            return
 
         self.in_flight += 1
         self.sim.schedule(delay, self._arrive, dst, on_arrival, cb_args, msg)

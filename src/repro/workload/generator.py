@@ -92,17 +92,9 @@ class QueryWorkload:
 
     # ------------------------------------------------------------------
     def post_one(self) -> int:
-        """Post a single query at a uniformly random node; returns its id.
-
-        Returns ``-1`` on a shard replica that does not own the chosen
-        node: every shard draws the identical node index and query
-        content (the ``query-workload`` substream must advance in
-        lockstep), but only the owning shard actually posts it.
-        """
+        """Post a single query at a uniformly random node; returns its id."""
         app = self.system.app(int(self.rng.integers(self.system.n_nodes)))
         query = self.make_query()
-        if not self.system.executes(app.node_id):
-            return -1
         qid = app.post_similarity_query(query)
         self.posted_query_ids.append(qid)
         return qid

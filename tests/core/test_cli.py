@@ -45,7 +45,6 @@ def test_parser_lists_all_commands():
         "baselines",
         "ring-stats",
         "lossy",
-        "shard",
         "lint",
         "protocol",
         "flow",

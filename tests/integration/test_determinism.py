@@ -12,7 +12,7 @@ import hashlib
 
 from repro.bench.export import stats_to_csv_string
 from repro.core import MiddlewareConfig, SimilarityQuery, StreamIndexSystem, WorkloadConfig
-from repro.workload import ChurnWorkload
+from repro.workload import ChurnWorkload, QueryWorkload
 
 MEASURE_MS = 8_000.0
 
@@ -87,3 +87,24 @@ def test_lossy_seed11_ledger_matches_pinned_digest():
     """
     digest = hashlib.sha256(_run_lossy_once(seed=11).encode()).hexdigest()
     assert digest == LOSSY_SEED11_SHA256
+
+
+#: sha256 of the loss-free fig6a quick-profile ledger (N=50, batch 1,
+#: default query workload, seed 0): the default path's literal pin.
+FIG6A_QUICK_SHA256 = "2cc1083e40e9c80f36559c169ee1396d902da6b02137c95c65850efeb34f1378"
+
+
+def test_loss_free_fig6a_ledger_matches_pinned_digest():
+    """The loss-free, churn-free default path is byte-identical to its pin.
+
+    The lossy pin above exercises faults and churn; this one guards the
+    plain ingest → MBR → Chord routing → query path every figure uses.
+    """
+    system = StreamIndexSystem(50, MiddlewareConfig(batch_size=1), seed=0)
+    system.attach_random_walk_streams()
+    QueryWorkload(system).start()
+    system.warmup(2_000.0)
+    system.reset_stats()
+    system.run(4_000.0)
+    ledger = stats_to_csv_string(system.network.stats)
+    assert hashlib.sha256(ledger.encode()).hexdigest() == FIG6A_QUICK_SHA256

@@ -201,3 +201,29 @@ def test_refresh_heals_lost_index_state():
     assert any(
         m.stream_id == donor.stream_id for m in client.similarity_results[qid]
     )
+
+
+def test_eventual_delivery_ratio_stays_at_most_one_after_reset():
+    """Sends still pending at ``reset_stats()`` belong to the old ledger.
+
+    They must not be subtracted from the new ledger's attempts: right
+    after a reset the new epoch has few sends of its own, and counting
+    the carried-over backlog against them pushed the ratio above 1.
+    """
+    config = lossy_config(
+        batch_size=2,
+        workload=WorkloadConfig(
+            pmin_ms=100.0,
+            pmax_ms=150.0,
+            bspan_ms=5_000.0,
+            qrate_per_s=0.0,
+            nper_ms=500.0,
+        ),
+    )
+    system = StreamIndexSystem(16, config, seed=11, with_stabilizer=True)
+    system.attach_random_walk_streams()
+    system.warmup()
+    system.reset_stats()
+    for step_ms in (500.0, 2_000.0):
+        system.run(step_ms)
+        assert system.eventual_delivery_ratio() <= 1.0

@@ -20,6 +20,7 @@ import math
 
 from repro.core import MiddlewareConfig, StreamIndexSystem, WorkloadConfig
 from repro.core.queries import SimilarityQuery
+from repro.net import peer as peer_module
 from repro.net import wire
 from repro.net.peer import PeerNode
 
@@ -169,3 +170,43 @@ def test_garbage_frames_are_dropped_and_connection_keeps_serving():
     status = asyncio.run(scenario())
     assert status["t"] == "status" and status["name"] == "dc-0"
     assert status["bad_frames"] == 2
+
+
+def test_blackholed_connect_does_not_stall_egress(monkeypatch):
+    """A connect that never completes times out; later frames still go out."""
+    blackhole = ("127.0.0.1", 9)
+    real_open_connection = asyncio.open_connection
+
+    async def open_connection(host, port, **kw):
+        if (host, port) == blackhole:
+            await asyncio.Event().wait()  # SYN into the void: never answers
+        return await real_open_connection(host, port, **kw)
+
+    monkeypatch.setattr(peer_module, "CONNECT_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(asyncio, "open_connection", open_connection)
+
+    async def scenario():
+        received = asyncio.Queue()
+
+        async def sink(reader, writer):
+            decoder = wire.FrameDecoder()
+            while data := await reader.read(65536):
+                for frame in decoder.feed(data):
+                    received.put_nowait(frame)
+            writer.close()
+
+        server = await asyncio.start_server(sink, "127.0.0.1", 0)
+        good = ("127.0.0.1", server.sockets[0].getsockname()[1])
+        peer = PeerNode("dc-0", "127.0.0.1", 0, make_config())
+        peer.log = lambda line: None
+        await peer.start(None)
+        try:
+            peer.send_control(blackhole, {"t": "status"})
+            peer.send_control(good, {"t": "status", "marker": 1})
+            return await asyncio.wait_for(received.get(), timeout=1.0)
+        finally:
+            await peer.stop()
+            server.close()
+            await server.wait_closed()
+
+    assert asyncio.run(scenario()) == {"t": "status", "marker": 1}

@@ -173,3 +173,28 @@ def test_custom_hop_delay():
     net.hop(0, 1, msg, lambda m: got.append(sim.now))
     sim.run()
     assert got == [10.0]
+
+
+def test_stats_pickle_round_trip():
+    """No unpicklable factories: a populated ledger survives pickling."""
+    import pickle
+
+    from repro.bench.export import stats_to_csv_string
+
+    stats = MessageStats()
+    stats.record_send(1, "mbr")
+    stats.record_receive(2, "mbr")
+    stats.record_origination("mbr")
+    stats.record_drop("mbr", "loss")
+    stats.record_reliable_send("mbr")
+    stats.record_reliable_ack("mbr")
+    stats.record_handoff_enqueued("handoff")
+    stats.record_delivery(
+        Message(kind="mbr", payload=None, origin=1, dest_key=7, hops=3, born=10.0),
+        now=160.0,
+    )
+    stats.in_flight_at_reset = 4
+    clone = pickle.loads(pickle.dumps(stats))
+    assert stats_to_csv_string(clone) == stats_to_csv_string(stats)
+    assert clone.hops_by_kind["mbr"] == [3, 1]
+    assert clone.latency_by_kind["mbr"] == [150.0, 1]
