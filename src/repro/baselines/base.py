@@ -166,8 +166,7 @@ class BaselineNode:
         """NPER duties: purge and report new candidates straight to clients."""
         now = self.system.sim.now
         self.index.purge(now)
-        for stored in list(self.index.similarity_subs.values()):
-            candidates = self.index.new_candidates(stored, now)
+        for stored, candidates in self.index.new_candidates(now):
             if not candidates:
                 continue
             payload = ResponsePush(

@@ -14,28 +14,42 @@ Every data center stores (Sec. IV / Fig. 5):
 All lookups purge expired entries lazily; a periodic sweep bounds
 memory between lookups.
 
-Vectorised matching
--------------------
-Candidate scans (:meth:`LocalIndex.new_candidates` /
-:meth:`LocalIndex.probe`) are the hottest computation in the simulator:
-every NPER tick, every node with subscriptions recomputes MINDIST from
-each query point to each stored box.  Instead of calling
-:meth:`~repro.core.mbr.MBR.mindist` per entry, the store keeps a lazily
-rebuilt *block layout* — all boxes stacked into ``lows`` / ``highs`` /
-``expires`` arrays, one contiguous row-range per stream — so a scan is
-two broadcast ``np.maximum`` calls plus a row-max prefilter.  Rows whose
-largest clipped-distance component already exceeds ε cannot intersect
-the ball (the Euclidean norm of a non-negative vector is at least its
-max component); only surviving rows get the exact per-row
+Delta matching
+--------------
+Candidate detection (:meth:`LocalIndex.new_candidates`, once per NPER
+tick for all subscriptions at once) is the hottest computation in the
+simulator.  It is incremental and exact.  Stored boxes never change
+(``add_mbr`` appends; a soft-state refresh is a new row), a
+subscription's feature and radius never change, and a (query, stream)
+match is reported once — so a (subscription, row) pair that fails at
+one tick fails forever, and a tick only tests
+
+* subscriptions already matched × rows added since the last tick, and
+* subscriptions new since the last tick × every stored row.
+
+:class:`DeltaMatcher` keeps the rows added since the last tick (in
+arrival order) and which subscription objects it has matched.  Each of
+the two products above is one ``subs × rows × dims`` broadcast of
+``max(low−q, 0) + max(q−high, 0)`` over freshly stacked ``lows`` /
+``highs`` arrays, cut into chunks of at most :data:`CHUNK_BYTES`.
+Pairs whose largest clipped-distance component exceeds ε cannot
+intersect the ball (the Euclidean norm of a non-negative vector is at
+least its max component); only the survivors get the exact per-row
 ``sqrt(dot(d, d))``, which is bit-identical to the scalar
-``MBR.mindist`` path — so vectorisation cannot change which candidates
-match, nor the reported distances (see PERFORMANCE.md).
+``MBR.mindist`` — so neither the batching nor the delta changes which
+candidates match, their distances, or their order (streams come out in
+store order).  No row arrays outlive a tick: kept between ticks they
+cost 14 % more peak RSS on the write-heavy benchmark workload (see
+PERFORMANCE.md §12).  The replica store of
+:class:`~repro.core.replication.ReplicationManager` runs the same
+kernel through its own matcher.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +57,24 @@ from ..perf import counters as _opc
 from .mbr import MBR
 from .protocol import InnerProductSubscribe, SimilaritySubscribe
 
-__all__ = ["StoredMBR", "StoredSimilaritySub", "StoredInnerProductSub", "LocalIndex"]
+__all__ = [
+    "StoredMBR",
+    "StoredSimilaritySub",
+    "StoredInnerProductSub",
+    "DeltaMatcher",
+    "LocalIndex",
+]
+
+#: Largest kernel temporary, in bytes: a tick's ``subs × rows × dims``
+#: float64 clipped-distance block is computed in chunks no larger.
+CHUNK_BYTES = 1 << 20
+
+#: Margin of the row-max prefilter: it absorbs the rounding of the
+#: exact ``sqrt(dot(d, d))``, which can sit an ulp below the row max.
+PREFILTER_MARGIN = 1e-9
+
+#: ``(stream_id, distance)`` candidates of one query, in store order
+Candidates = List[Tuple[str, float]]
 
 
 @dataclass(slots=True)
@@ -80,6 +111,175 @@ class StoredInnerProductSub:
     expires: float
 
 
+class DeltaMatcher:
+    """The detect step over one MBR store, testing each (sub, row) pair once.
+
+    ``store`` maps stream id to its stored entries (anything with
+    ``.mbr`` and ``.expires``); it is the source of truth and sets the
+    output order.  While subscriptions exist, ``pending`` lists the
+    entries added since the last :meth:`match` (in arrival order) and
+    ``seen`` maps each query id to the subscription object that was
+    matched against every row stored before them.  A distance is
+    accepted when ``d <= radius + slack``.
+    """
+
+    __slots__ = ("store", "slack", "pending", "seen")
+
+    def __init__(self, store: Dict[str, list], slack: float = 0.0) -> None:
+        self.store = store
+        self.slack = slack
+        #: ``None`` while no subscription exists: nothing to track
+        self.pending: Optional[list] = None
+        self.seen: Dict[int, StoredSimilaritySub] = {}
+
+    def added(self, entry) -> None:
+        """Note an entry just added to the store."""
+        if self.pending is not None:
+            self.pending.append(entry)
+
+    def removed(self, taken: List) -> None:
+        """Note entries taken out of the store before they expired."""
+        if self.pending and taken:
+            gone = {id(e) for e in taken}
+            self.pending = [e for e in self.pending if id(e) not in gone]
+
+    def match(
+        self, subs: List[StoredSimilaritySub], now: float
+    ) -> List[Tuple[StoredSimilaritySub, Candidates]]:
+        """One detect tick: each sub's new candidates, marked reported.
+
+        Returns ``(stored, candidates)`` for every sub, in the given
+        order.  A stream already in a sub's ``reported`` set is never a
+        candidate again; the ones returned are added to it.
+        """
+        if not subs:
+            self.pending = None
+            self.seen = {}
+            return []
+        seen = self.seen
+        old: List[int] = []
+        new: List[int] = []
+        for i, stored in enumerate(subs):
+            (old if seen.get(stored.sub.query_id) is stored else new).append(i)
+        found: List[Optional[Dict[str, float]]] = [None] * len(subs)
+        if old and self.pending:
+            self._scan(subs, old, self.pending, now, found)
+        if new:
+            rows = [e for entries in self.store.values() for e in entries]
+            self._scan(subs, new, rows, now, found)
+        self.pending = []
+        if new or len(seen) != len(subs):
+            self.seen = {s.sub.query_id: s for s in subs}
+        rank: Optional[Dict[str, int]] = None
+        out: List[Tuple[StoredSimilaritySub, Candidates]] = []
+        for stored, hits in zip(subs, found):
+            if not hits:
+                out.append((stored, []))
+                continue
+            if rank is None:
+                rank = {sid: r for r, sid in enumerate(self.store)}
+            stored.reported.update(hits)
+            out.append((stored, sorted(hits.items(), key=lambda kv: rank[kv[0]])))
+        return out
+
+    def _scan(
+        self,
+        subs: List[StoredSimilaritySub],
+        group: List[int],
+        rows: list,
+        now: float,
+        found: List[Optional[Dict[str, float]]],
+    ) -> None:
+        """Test ``subs[i]`` for each ``i`` in ``group`` against ``rows``."""
+        chosen = [subs[i] for i in group]
+        hits = self._kernel(
+            rows,
+            np.array([s.sub.feature for s in chosen], dtype=np.float64),
+            np.array([s.sub.radius for s in chosen], dtype=np.float64),
+            [s.reported for s in chosen],
+            now,
+        )
+        for i, h in zip(group, hits):
+            found[i] = h
+
+    def probe(self, feature: np.ndarray, radius: float, now: float) -> Candidates:
+        """One-shot scan of every row, with no reported-set bookkeeping."""
+        rows = [e for entries in self.store.values() for e in entries]
+        (hits,) = self._kernel(
+            rows,
+            np.asarray(feature, dtype=np.float64)[None, :],
+            np.array([radius], dtype=np.float64),
+            [()],
+            now,
+        )
+        if not hits:
+            return []
+        rank = {sid: r for r, sid in enumerate(self.store)}
+        return sorted(hits.items(), key=lambda kv: rank[kv[0]])
+
+    def _kernel(
+        self,
+        rows: list,
+        feats: np.ndarray,
+        radii: np.ndarray,
+        skips: Sequence,
+        now: float,
+    ) -> List[Optional[Dict[str, float]]]:
+        """The kernel: best live distance per stream, for each query.
+
+        Tests query ``j`` (``feats[j]``, ``radii[j]``) against the live
+        entries of ``rows`` and returns ``{stream_id: best distance}``
+        of the streams not in ``skips[j]`` that it matches (``None`` for
+        no match) — exactly what the scalar loop over ``MBR.mindist``
+        would: the clipped-distance block is the same elementwise
+        arithmetic, the row-max prefilter only discards pairs whose
+        distance provably exceeds the radius, and survivors get the
+        identical per-row ``sqrt(dot(d, d))`` (``math.sqrt`` and
+        ``np.sqrt`` are both the correctly rounded IEEE square root).
+        """
+        out: List[Optional[Dict[str, float]]] = [None] * len(feats)
+        rows = [e for e in rows if e.expires > now]
+        if not rows:
+            return out
+        lows = np.array([e.mbr.low for e in rows], dtype=np.float64)
+        highs = np.array([e.mbr.high for e in rows], dtype=np.float64)
+        cut = radii + PREFILTER_MARGIN
+        accept = (radii + self.slack).tolist()
+        row_bytes = 8 * lows.shape[1]
+        row_step = max(1, CHUNK_BYTES // row_bytes)
+        dot, sqrt = np.dot, math.sqrt
+        c = _opc.ACTIVE
+        for r0 in range(0, len(rows), row_step):
+            lo = lows[r0 : r0 + row_step]
+            hi = highs[r0 : r0 + row_step]
+            sub_step = max(1, CHUNK_BYTES // (row_bytes * len(lo)))
+            for s0 in range(0, len(feats), sub_step):
+                q = feats[s0 : s0 + sub_step, None, :]
+                delta = np.maximum(lo - q, 0.0)
+                delta += np.maximum(q - hi, 0.0)
+                ok = delta.max(axis=2) <= cut[s0 : s0 + sub_step, None]
+                if c is not None:
+                    c.inc("index.rows_scanned", ok.size)
+                si, ri = np.nonzero(ok)
+                if not len(si):
+                    continue
+                for s, r, dr in zip(si.tolist(), ri.tolist(), delta[si, ri]):
+                    j = s0 + s
+                    sid = rows[r0 + r].mbr.stream_id
+                    if sid in skips[j]:
+                        continue
+                    d = sqrt(dot(dr, dr))
+                    if c is not None:
+                        c.inc("index.rows_exact")
+                    if d <= accept[j]:
+                        best = out[j]
+                        if best is None:
+                            out[j] = {sid: d}
+                        elif sid not in best or d < best[sid]:
+                            best[sid] = d
+        return out
+
+
 class LocalIndex:
     """All query-relevant state of one data center."""
 
@@ -88,24 +288,9 @@ class LocalIndex:
         self.similarity_subs: Dict[int, StoredSimilaritySub] = {}
         self.inner_product_subs: Dict[int, StoredInnerProductSub] = {}
         self.registry: Dict[str, int] = {}
-        # Block layout over the MBR store (see module docstring):
-        # (ranges, lows, highs, expires) where ranges maps stream_id to
-        # its contiguous [start, stop) row range.  Rebuilt lazily after
-        # a structural store mutation; None when stale or when the store
-        # holds mixed dimensionalities (scalar fallback).  Inserts that
-        # land at the end of the layout (a new stream, or the stream
-        # already holding the last block) are appended in place instead
-        # of invalidating — the common case under steady publishing,
-        # where full rebuilds otherwise dominate the ingest path.
-        self._stack: Optional[
-            Tuple[Dict[str, Tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]
-        ] = None
-        # Backing buffers for the append path: exact-size views of these
-        # become the stack arrays; capacity doubles on overflow so an
-        # append is O(1) amortised instead of an O(store) rebuild.
-        self._stack_buf: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = None
+        #: the detect step over the MBR store (module docstring)
+        self._matcher = DeltaMatcher(self._mbrs)
+        self._dims = 0
 
     # ------------------------------------------------------------------
     # MBR store
@@ -113,66 +298,22 @@ class LocalIndex:
     def add_mbr(self, mbr: MBR, expires: float, source_id: int = -1) -> None:
         """Store a summary MBR until its lifespan ends.
 
-        Keeps the block layout warm when the insert lands at its end
-        (see :meth:`_append_to_stack`); otherwise the layout goes stale
-        and the next scan rebuilds it — producing bit-identical arrays
-        either way, since both paths write the same rows in the same
-        ``self._mbrs`` iteration order.
+        Every stored box has one dimensionality: a box that differs
+        from the ones held is refused with ``ValueError``.
         """
-        sid = mbr.stream_id
-        entries = self._mbrs.get(sid)
-        is_new_stream = entries is None
-        if is_new_stream:
-            entries = self._mbrs[sid] = []
-        entries.append(StoredMBR(mbr, expires, source_id))
-        if self._stack is not None and not self._append_to_stack(
-            mbr, expires, is_new_stream
-        ):
-            self._stack = None
-
-    def _append_to_stack(
-        self, mbr: MBR, expires: float, is_new_stream: bool
-    ) -> bool:
-        """Extend the block layout in place for an end-of-layout insert.
-
-        Possible exactly when a rebuild would put the new row last: the
-        stream is new (``dict`` insertion order appends its block), or
-        it already owns the final block.  Returns ``False`` when the
-        insert lands mid-layout (or changes dimensionality) and a full
-        rebuild is required.
-        """
-        ranges, lows, highs, exp = self._stack
-        n = len(exp)
-        if len(mbr.low) != lows.shape[1]:
-            return False
-        rng = ranges.get(mbr.stream_id)
-        if rng is None:
-            if not is_new_stream:  # pre-existing mid-layout stream
-                return False
-            start = n
-        elif rng[1] == n:
-            start = rng[0]
+        dims = len(mbr.low)
+        if self._mbrs and dims != self._dims:
+            raise ValueError(
+                f"MBR of {dims} dimensions in a store of {self._dims}-dimensional MBRs"
+            )
+        self._dims = dims
+        entry = StoredMBR(mbr, expires, source_id)
+        entries = self._mbrs.get(mbr.stream_id)
+        if entries is None:
+            self._mbrs[mbr.stream_id] = [entry]
         else:
-            return False
-        buf = self._stack_buf
-        if buf is None or len(buf[2]) < n + 1:
-            cap = max(2 * n, 64)
-            grown_lows = np.empty((cap, lows.shape[1]), dtype=np.float64)
-            grown_highs = np.empty((cap, lows.shape[1]), dtype=np.float64)
-            grown_exp = np.empty(cap, dtype=np.float64)
-            grown_lows[:n] = lows
-            grown_highs[:n] = highs
-            grown_exp[:n] = exp
-            buf = self._stack_buf = (grown_lows, grown_highs, grown_exp)
-        buf[0][n] = mbr.low
-        buf[1][n] = mbr.high
-        buf[2][n] = expires
-        ranges[mbr.stream_id] = (start, n + 1)
-        self._stack = (ranges, buf[0][: n + 1], buf[1][: n + 1], buf[2][: n + 1])
-        c = _opc.ACTIVE
-        if c is not None:
-            c.inc("index.stack_appends")
-        return True
+            entries.append(entry)
+        self._matcher.added(entry)
 
     def take_mbrs(self, predicate) -> List[StoredMBR]:
         """Remove and return stored MBRs matching ``predicate(entry)``.
@@ -181,19 +322,18 @@ class LocalIndex:
         refit, entries whose key range moved off this holder's arc are
         taken out of the store and re-disseminated as ``MbrMigrate``
         payloads toward their new holders.  Entries the predicate
-        rejects stay untouched; the block layout is invalidated only
-        when something was actually removed.
+        rejects stay untouched.
         """
         taken: List[StoredMBR] = []
         for sid in list(self._mbrs):
             kept = [e for e in self._mbrs[sid] if not predicate(e)]
             if len(kept) != len(self._mbrs[sid]):
                 taken.extend(e for e in self._mbrs[sid] if predicate(e))
-                self._stack = None
                 if kept:
                     self._mbrs[sid] = kept
                 else:
                     del self._mbrs[sid]
+        self._matcher.removed(taken)
         return taken
 
     def mbr_count(self, now: Optional[float] = None) -> int:
@@ -216,7 +356,6 @@ class LocalIndex:
             kept = [e for e in self._mbrs[sid] if e.expires > now]
             if len(kept) != len(self._mbrs[sid]):
                 dropped += len(self._mbrs[sid]) - len(kept)
-                self._stack = None
             if kept:
                 self._mbrs[sid] = kept
             else:
@@ -239,14 +378,23 @@ class LocalIndex:
 
         A refresh keeps the ``reported`` bookkeeping (so soft-state
         re-disseminations don't cause re-reports of known matches) and
-        never shortens the remaining lifetime.
+        never shortens the remaining lifetime.  A refresh that changes
+        the feature or radius makes the sub new to the delta matcher,
+        so it is tested against every stored row again.
         """
         cur = self.similarity_subs.get(sub.query_id)
-        if cur is not None:
-            cur.sub = sub
-            cur.expires = max(cur.expires, expires)
+        if cur is None:
+            self.similarity_subs[sub.query_id] = StoredSimilaritySub(sub, expires)
             return
-        self.similarity_subs[sub.query_id] = StoredSimilaritySub(sub, expires)
+        expires = max(cur.expires, expires)
+        if cur.sub.radius != sub.radius or (
+            cur.sub.feature is not sub.feature
+            and not np.array_equal(cur.sub.feature, sub.feature)
+        ):
+            self.similarity_subs[sub.query_id] = StoredSimilaritySub(sub, expires, cur.reported)
+            return
+        cur.sub = sub
+        cur.expires = expires
 
     def add_inner_product_sub(self, sub: InnerProductSubscribe, expires: float) -> None:
         """Install an inner-product subscription at the source node."""
@@ -255,126 +403,18 @@ class LocalIndex:
     # ------------------------------------------------------------------
     # matching
     # ------------------------------------------------------------------
-    def _build_stack(
-        self,
-    ) -> Optional[Tuple[Dict[str, Tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]]:
-        """(Re)build the block layout; ``None`` for empty/ragged stores."""
-        # The append buffers only mirror the *current* layout; a rebuild
-        # starts from fresh arrays, so any old buffer is stale garbage.
-        self._stack_buf = None
-        if not self._mbrs:
-            return None
-        c = _opc.ACTIVE
-        if c is not None:
-            c.inc("index.stack_rebuilds")
-        dims = None
-        total = 0
-        for entries in self._mbrs.values():
-            for e in entries:
-                k = len(e.mbr.low)
-                if dims is None:
-                    dims = k
-                elif k != dims:
-                    return None  # mixed dimensionalities: scalar fallback
-            total += len(entries)
-        ranges: Dict[str, Tuple[int, int]] = {}
-        lows = np.empty((total, dims), dtype=np.float64)
-        highs = np.empty((total, dims), dtype=np.float64)
-        expires = np.empty(total, dtype=np.float64)
-        row = 0
-        for stream_id, entries in self._mbrs.items():
-            start = row
-            for e in entries:
-                lows[row] = e.mbr.low
-                highs[row] = e.mbr.high
-                expires[row] = e.expires
-                row += 1
-            ranges[stream_id] = (start, row)
-        return ranges, lows, highs, expires
+    def new_candidates(self, now: float) -> List[Tuple[StoredSimilaritySub, Candidates]]:
+        """The detect step: every sub's not-yet-reported candidates.
 
-    def _scan(
-        self,
-        feature: np.ndarray,
-        radius: float,
-        now: float,
-        skip: Optional[set],
-    ) -> List[Tuple[str, float]]:
-        """Best live MINDIST per stream, vectorised (see module docstring).
-
-        Produces exactly what the scalar loop over ``MBR.mindist`` would:
-        the clipped-distance matrix is the same elementwise arithmetic,
-        the row-max prefilter only discards rows whose distance provably
-        exceeds ``radius``, and survivors get the identical per-row
-        ``sqrt(dot(d, d))``.
+        Returns ``(stored, [(stream_id, mindist), ...])`` for every
+        similarity subscription, in ``similarity_subs`` order, and marks
+        the returned streams reported so each (node, query, stream)
+        match is forwarded at most once — matching the paper's
+        "detected similarities" semantics where the middle node
+        aggregates distinct candidates.
         """
-        stack = self._stack
-        if stack is None:
-            if not self._mbrs:
-                return []
-            stack = self._stack = self._build_stack()
-        out: List[Tuple[str, float]] = []
-        if stack is None:
-            # Ragged store: scalar fallback, the original loop verbatim.
-            for stream_id, entries in self._mbrs.items():
-                if skip is not None and stream_id in skip:
-                    continue
-                best = None
-                for e in entries:
-                    if e.expires <= now:
-                        continue
-                    d = e.mbr.mindist(feature)
-                    if d <= radius and (best is None or d < best):
-                        best = d
-                if best is not None:
-                    out.append((stream_id, float(best)))
-            return out
-        ranges, lows, highs, expires = stack
-        q = np.asarray(feature, dtype=np.float64)
-        delta = np.maximum(lows - q, 0.0)
-        delta += np.maximum(q - highs, 0.0)
-        c = _opc.ACTIVE
-        if c is not None:
-            c.inc("index.rows_scanned", len(delta))
-        # Prefilter: ||d|| >= max(d) for the non-negative clipped vector,
-        # so rows whose max component clears radius (with a small margin
-        # absorbing dot/sqrt rounding) cannot match.
-        candidate = (delta.max(axis=1) <= radius + 1e-9) & (expires > now)
-        if not candidate.any():
-            return out
-        for stream_id, (start, stop) in ranges.items():
-            if skip is not None and stream_id in skip:
-                continue
-            best = None
-            for row in range(start, stop):
-                if not candidate[row]:
-                    continue
-                dr = delta[row]
-                d = float(np.sqrt(np.dot(dr, dr)))
-                if c is not None:
-                    c.inc("index.rows_exact")
-                if d <= radius and (best is None or d < best):
-                    best = d
-            if best is not None:
-                out.append((stream_id, best))
-        return out
+        return self._matcher.match(list(self.similarity_subs.values()), now)
 
-    def new_candidates(
-        self, stored: StoredSimilaritySub, now: float
-    ) -> List[Tuple[str, float]]:
-        """Streams whose stored MBRs intersect the query ball, not yet reported.
-
-        Returns ``(stream_id, mindist)`` pairs and marks them reported
-        so each (node, query, stream) match is forwarded at most once —
-        matching the paper's "detected similarities" semantics where the
-        middle node aggregates distinct candidates.
-        """
-        out = self._scan(
-            stored.sub.feature, stored.sub.radius, now, stored.reported
-        )
-        for stream_id, _ in out:
-            stored.reported.add(stream_id)
-        return out
-
-    def probe(self, feature: np.ndarray, radius: float, now: float) -> List[Tuple[str, float]]:
+    def probe(self, feature: np.ndarray, radius: float, now: float) -> Candidates:
         """One-shot candidate scan (no reported-set bookkeeping)."""
-        return self._scan(feature, radius, now, None)
+        return self._matcher.probe(feature, radius, now)

@@ -37,9 +37,10 @@ per-node ``on_round`` hook (anti-entropy / handoff duties).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from ..sim.network import Message
+from .index import Candidates, DeltaMatcher, StoredSimilaritySub
 from .mbr import MBR
 from .protocol import (
     KIND,
@@ -120,6 +121,9 @@ class ReplicationManager:
         self.hints: List[ReplicaEntry] = []
         #: lifetime counters for the replication metrics section
         self.read_repairs_served = 0
+        #: the detect step over the replica store, through the index's
+        #: kernel; ``d <= radius + 1e-12`` accepts, as ``MBR.intersects_ball``
+        self._matcher = DeltaMatcher(self.store, slack=1e-12)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -271,16 +275,16 @@ class ReplicationManager:
                 entry.hinted = False
                 break
         else:
-            entries.append(
-                ReplicaEntry(
-                    mbr=payload.mbr,
-                    source_id=payload.source_id,
-                    low_key=payload.low_key,
-                    high_key=payload.high_key,
-                    owner_id=payload.owner_id,
-                    expires=payload.expires_ms,
-                )
+            entry = ReplicaEntry(
+                mbr=payload.mbr,
+                source_id=payload.source_id,
+                low_key=payload.low_key,
+                high_key=payload.high_key,
+                owner_id=payload.owner_id,
+                expires=payload.expires_ms,
             )
+            entries.append(entry)
+            self._matcher.added(entry)
         node = self._node
         ack = ReplicaAck(
             owner_id=payload.owner_id,
@@ -372,16 +376,16 @@ class ReplicationManager:
         for entry in entries:
             if entry.expires == payload.expires_ms:
                 return
-        entries.append(
-            ReplicaEntry(
-                mbr=payload.mbr,
-                source_id=payload.source_id,
-                low_key=payload.low_key,
-                high_key=payload.high_key,
-                owner_id=origin,
-                expires=payload.expires_ms,
-            )
+        entry = ReplicaEntry(
+            mbr=payload.mbr,
+            source_id=payload.source_id,
+            low_key=payload.low_key,
+            high_key=payload.high_key,
+            owner_id=origin,
+            expires=payload.expires_ms,
         )
+        entries.append(entry)
+        self._matcher.added(entry)
 
     def _scan_for_hints(self) -> None:
         """Queue a handoff for every replica whose owner died."""
@@ -470,31 +474,18 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     # query-side matching
     # ------------------------------------------------------------------
-    def new_candidates(self, stored, now: float) -> List[Tuple[str, float]]:
-        """Replica copies matching a *primary* subscription of this node.
+    def new_candidates(
+        self, subs: List[StoredSimilaritySub], now: float
+    ) -> List[Tuple[StoredSimilaritySub, Candidates]]:
+        """Replica copies matching the *primary* subscriptions of this node.
 
-        Mirrors :meth:`LocalIndex.new_candidates` over the replica
-        store, sharing the subscription's ``reported`` set so each
-        (node, query, stream) pair is still forwarded at most once
-        across primary and replica matches.
+        The replica-store twin of :meth:`LocalIndex.new_candidates`,
+        through the same delta kernel, for the given ``subs`` in order.
+        It shares each sub's ``reported`` set, so each (node, query,
+        stream) pair is still forwarded at most once across primary and
+        replica matches.
         """
-        out: List[Tuple[str, float]] = []
-        feature = stored.sub.feature
-        radius = stored.sub.radius
-        for stream_id, entries in self.store.items():
-            if stream_id in stored.reported:
-                continue
-            best: Optional[float] = None
-            for entry in entries:
-                if entry.expires <= now:
-                    continue
-                d = entry.mbr.mindist(feature)
-                if d <= radius + 1e-12 and (best is None or d < best):
-                    best = d
-            if best is not None:
-                out.append((stream_id, best))
-                stored.reported.add(stream_id)
-        return out
+        return self._matcher.match(subs, now)
 
     def live_replica_count(self, now: float) -> int:
         """Unexpired replica copies held (availability metric)."""

@@ -341,6 +341,19 @@ class ClientService(RoleService):
     # ------------------------------------------------------------------
     # periodic duties
     # ------------------------------------------------------------------
+    def on_notification_tick(self, now: float) -> None:
+        """Periodic duty: forget queries whose lifespan has ended.
+
+        The refresh tick does this too, but it never runs while
+        ``refresh_period_ms`` is 0, and the records would pile up.
+        """
+        self._forget_expired(now)
+
+    def _forget_expired(self, now: float) -> None:
+        for active in (self._active_sim_queries, self._active_ip_queries):
+            for query_id in [q for q, (_, expires) in active.items() if expires <= now]:
+                del active[query_id]
+
     def on_refresh_tick(self, now: float) -> None:
         """Re-disseminate live similarity and inner-product queries.
 
@@ -348,12 +361,9 @@ class ClientService(RoleService):
         reprocess it — re-installing subscription state lost to a
         crashed index node or a dropped span copy.
         """
-        for query_id in list(self._active_sim_queries):
-            payload, expires = self._active_sim_queries[query_id]
+        self._forget_expired(now)
+        for query_id, (payload, expires) in list(self._active_sim_queries.items()):
             remaining = expires - now
-            if remaining <= 0:
-                del self._active_sim_queries[query_id]
-                continue
             # annotated so the flow analyzer can attribute the refresh
             # re-dissemination (``payload`` is tuple-unpacked from an
             # attribute its constant propagation cannot see through)
@@ -369,10 +379,5 @@ class ClientService(RoleService):
                 low_key=fresh.low_key,
                 high_key=fresh.high_key,
             )
-        for query_id in list(self._active_ip_queries):
-            query, expires = self._active_ip_queries[query_id]
-            remaining = expires - now
-            if remaining <= 0:
-                del self._active_ip_queries[query_id]
-                continue
-            self._route_inner_product(replace(query, lifespan_ms=remaining))
+        for query, expires in list(self._active_ip_queries.values()):
+            self._route_inner_product(replace(query, lifespan_ms=expires - now))

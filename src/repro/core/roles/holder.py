@@ -403,12 +403,11 @@ class IndexHolderService(RoleService):
         """
         replicated = self.cfg.replication_factor > 1
         reports: Dict[int, SimilarityReport] = {}
-        for stored in self.index.similarity_subs.values():
-            candidates = self.index.new_candidates(stored, now)
-            if replicated:
-                candidates = candidates + self.replication.new_candidates(
-                    stored, now
-                )
+        found = self.index.new_candidates(now)
+        if replicated:
+            replica = self.replication.new_candidates([s for s, _ in found], now)
+            found = [(s, c + rc) for (s, c), (_, rc) in zip(found, replica)]
+        for stored, candidates in found:
             mid = stored.sub.middle_key
             if self.node.owns_key(mid):
                 agg = self.runtime.aggregator.aggregator_for(stored.sub.query_id)

@@ -60,10 +60,9 @@ def test_new_candidates_matches_within_radius():
     idx = LocalIndex()
     idx.add_mbr(make_mbr([0.0, 0.0], [0.05, 0.05], sid="near"), expires=1e9)
     idx.add_mbr(make_mbr([0.9, 0.9], [0.95, 0.95], sid="far"), expires=1e9)
-    stored = idx.similarity_subs
     idx.add_similarity_sub(make_sub(feature=(0.0, 0.0), radius=0.1), expires=1e9)
-    (s,) = stored.values()
-    cands = idx.new_candidates(s, now=0.0)
+    ((s, cands),) = idx.new_candidates(now=0.0)
+    assert s is idx.similarity_subs[1]
     assert [c[0] for c in cands] == ["near"]
     assert cands[0][1] == 0.0  # feature inside the box
 
@@ -73,11 +72,11 @@ def test_new_candidates_reports_each_stream_once():
     idx.add_mbr(make_mbr([0.0], [0.01], sid="s"), expires=1e9)
     idx.add_similarity_sub(make_sub(feature=(0.0,)), expires=1e9)
     (stored,) = idx.similarity_subs.values()
-    assert len(idx.new_candidates(stored, now=0.0)) == 1
-    assert idx.new_candidates(stored, now=0.0) == []
+    assert len(idx.new_candidates(now=0.0)[0][1]) == 1
+    assert idx.new_candidates(now=0.0) == [(stored, [])]
     # even a fresh MBR of the same stream is not re-reported
     idx.add_mbr(make_mbr([0.0], [0.02], sid="s"), expires=1e9)
-    assert idx.new_candidates(stored, now=0.0) == []
+    assert idx.new_candidates(now=0.0) == [(stored, [])]
 
 
 def test_new_candidates_ignores_expired_mbrs():
@@ -85,7 +84,7 @@ def test_new_candidates_ignores_expired_mbrs():
     idx.add_mbr(make_mbr([0.0], [0.01], sid="s"), expires=10.0)
     idx.add_similarity_sub(make_sub(feature=(0.0,)), expires=1e9)
     (stored,) = idx.similarity_subs.values()
-    assert idx.new_candidates(stored, now=20.0) == []
+    assert idx.new_candidates(now=20.0) == [(stored, [])]
 
 
 def test_new_candidates_picks_best_distance():
@@ -93,8 +92,7 @@ def test_new_candidates_picks_best_distance():
     idx.add_mbr(make_mbr([0.08], [0.09], sid="s"), expires=1e9)
     idx.add_mbr(make_mbr([0.02], [0.03], sid="s"), expires=1e9)
     idx.add_similarity_sub(make_sub(feature=(0.0,)), expires=1e9)
-    (stored,) = idx.similarity_subs.values()
-    cands = idx.new_candidates(stored, now=0.0)
+    ((_, cands),) = idx.new_candidates(now=0.0)
     assert np.isclose(cands[0][1], 0.02)
 
 
@@ -126,3 +124,33 @@ def test_refresh_similarity_sub_replaces():
     idx.add_similarity_sub(make_sub(qid=9), expires=500.0)
     assert len(idx.similarity_subs) == 1
     assert idx.similarity_subs[9].expires == 500.0
+
+
+def test_refresh_with_a_new_feature_rescans_stored_rows():
+    # delta matching tests an already-matched sub only against new rows;
+    # a refresh that moves the query must be tested against all of them
+    idx = LocalIndex()
+    idx.add_mbr(make_mbr([0.0, 0.0], [0.05, 0.05], sid="near"), expires=1e9)
+    idx.add_similarity_sub(make_sub(feature=(5.0, 5.0), radius=0.1), expires=1e9)
+    assert idx.new_candidates(now=0.0)[0][1] == []
+    idx.add_similarity_sub(make_sub(feature=(0.0, 0.0), radius=0.1), expires=1e9)
+    ((stored, cands),) = idx.new_candidates(now=0.0)
+    assert cands == [("near", 0.0)]
+    assert stored.reported == {"near"}
+
+
+def test_candidates_come_out_in_store_order():
+    # store (dict insertion) order, whatever order the rows arrived in;
+    # a stream that expired and came back sorts after the others
+    idx = LocalIndex()
+    idx.add_mbr(make_mbr([0.0], [0.01], sid="b"), expires=10.0)
+    idx.add_mbr(make_mbr([0.0], [0.01], sid="a"), expires=1e9)
+    idx.add_mbr(make_mbr([0.0], [0.02], sid="b"), expires=10.0)
+    idx.add_similarity_sub(make_sub(qid=1, feature=(0.0,)), expires=1e9)
+    assert [sid for sid, _ in idx.new_candidates(now=0.0)[0][1]] == ["b", "a"]
+    idx.purge(now=20.0)  # "b" expires entirely
+    idx.add_mbr(make_mbr([0.0], [0.01], sid="b"), expires=1e9)
+    idx.add_mbr(make_mbr([0.0], [0.01], sid="c"), expires=1e9)
+    idx.add_similarity_sub(make_sub(qid=2, feature=(0.0,)), expires=1e9)
+    got = {s.sub.query_id: [sid for sid, _ in c] for s, c in idx.new_candidates(now=20.0)}
+    assert got == {1: ["c"], 2: ["a", "b", "c"]}  # sub 1 reported "b" already

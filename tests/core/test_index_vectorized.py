@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import MBR, LocalIndex
-from repro.core.index import StoredSimilaritySub
 from repro.core.protocol import SimilaritySubscribe
 from repro.sim.rng import RngRegistry
 
@@ -58,82 +57,23 @@ def test_probe_equals_scalar_reference_exactly():
             assert math.isclose(gd, wd, rel_tol=0.0, abs_tol=0.0)
 
 
-def test_scan_reuses_stack_until_store_changes():
-    rng = RngRegistry(seed=7).get("index-stack")
-    idx = random_index(rng, n_streams=3, boxes_per_stream=2)
-    q = np.zeros(4)
-    idx.probe(q, 10.0, now=0.0)
-    stack = idx._stack
-    assert stack is not None
-    idx.probe(q, 10.0, now=0.0)
-    assert idx._stack is stack  # unchanged store: no rebuild
-
-    idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s0"), expires=99.0)
-    assert idx._stack is None  # append invalidates
-    idx.probe(q, 10.0, now=0.0)
-    rebuilt = idx._stack
-    assert rebuilt is not None and rebuilt is not stack
-
-    # purge with no expiries keeps the stack; with drops it invalidates
-    idx.purge(now=0.0)
-    assert idx._stack is rebuilt
-    idx.purge(now=1_000.0)
-    assert idx._stack is None
-
-
-def test_end_of_layout_insert_appends_without_rebuild():
-    rng = RngRegistry(seed=13).get("index-append")
-    idx = random_index(rng, n_streams=3, boxes_per_stream=2)
-    q = np.zeros(4)
-    idx.probe(q, 10.0, now=0.0)
-    before = idx._stack
-    assert before is not None
-    # The last stream in layout order ("s2") owns the final block: its
-    # insert extends the stack in place.
-    idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s2"), expires=99.0)
-    assert idx._stack is not None
-    assert len(idx._stack[3]) == len(before[3]) + 1
-    # A brand-new stream also lands at the end of the layout.
-    idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="fresh"), expires=99.0)
-    assert idx._stack is not None
-    assert idx._stack[0]["fresh"] == (7, 8)
-    # A mid-layout stream cannot append: the stack goes stale.
-    idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s0"), expires=99.0)
-    assert idx._stack is None
-
-
-def test_incremental_append_matches_full_rebuild_exactly():
-    """Warm-stack appends produce the same scans as a cold rebuild."""
-    rng = RngRegistry(seed=3).get("index-append-eq")
-    warm = LocalIndex()
-    cold = LocalIndex()
-    q = rng.uniform(-1.0, 1.0, 4)
-    warm.probe(q, 10.0, now=0.0)  # keep the warm index's stack live
-    for step in range(60):
-        lo = rng.uniform(-1, 1, 4)
-        hi = lo + rng.uniform(0, 0.5, 4)
-        mbr = MBR(low=lo, high=hi, stream_id=f"s{step % 5}")
-        expires = float(rng.uniform(50, 150))
-        warm.add_mbr(mbr, expires)
-        cold.add_mbr(mbr, expires)
-        got = warm.probe(q, 1.2, now=25.0)
-        cold._stack = None  # force the rebuild path every time
-        want = cold.probe(q, 1.2, now=25.0)
-        assert got == want  # same streams, same order, bit-identical dists
-
-
 def test_ragged_dimensionalities_fall_back_to_scalar():
-    """A mixed-dims store cannot stack; behavior matches the scalar loop."""
+    """A store holds one dimensionality: a mixed-dims insert is refused.
+
+    The scalar reference raises on such a store at scan time (the
+    mismatched stream's broadcast); the index raises earlier, at the
+    insert, and keeps the store as it was.
+    """
     idx = LocalIndex()
     idx.add_mbr(MBR(low=np.zeros(2), high=np.ones(2), stream_id="a"), expires=100.0)
-    idx.add_mbr(MBR(low=np.zeros(3), high=np.ones(3), stream_id="b"), expires=100.0)
-    # Same-dims query: the scalar reference raises on the mismatched
-    # stream's broadcast, and the fallback must do exactly the same.
     with pytest.raises(ValueError):
-        scalar_scan(idx, np.zeros(2), 5.0, now=0.0)
-    with pytest.raises(ValueError):
-        idx.probe(np.zeros(2), 5.0, now=0.0)
-    assert idx._stack is None  # never stacked
+        idx.add_mbr(MBR(low=np.zeros(3), high=np.ones(3), stream_id="b"), expires=100.0)
+    assert list(idx._mbrs) == ["a"]
+    assert idx.probe(np.zeros(2), 5.0, now=0.0) == [("a", 0.0)]
+    # once the store is empty, any dimensionality is welcome again
+    idx.purge(now=200.0)
+    idx.add_mbr(MBR(low=np.zeros(3), high=np.ones(3), stream_id="b"), expires=300.0)
+    assert idx.probe(np.zeros(3), 5.0, now=200.0) == [("b", 0.0)]
 
 
 def test_new_candidates_marks_reported_and_skips():
@@ -150,9 +90,9 @@ def test_new_candidates_marks_reported_and_skips():
         middle_key=5,
         lifespan_ms=1000.0,
     )
-    stored = StoredSimilaritySub(sub, expires=1_000.0)
-    first = idx.new_candidates(stored, now=0.0)
+    idx.add_similarity_sub(sub, expires=1_000.0)
+    ((stored, first),) = idx.new_candidates(now=0.0)
     assert [sid for sid, _ in first] == ["s1"]
     assert stored.reported == {"s1"}
     # second scan: s1 skipped via the reported set
-    assert idx.new_candidates(stored, now=0.0) == []
+    assert idx.new_candidates(now=0.0) == [(stored, [])]

@@ -143,6 +143,26 @@ def test_similarity_subscription_expires():
     assert all(qid not in a.aggregators for a in system.all_apps)
 
 
+def test_client_forgets_expired_queries_with_refresh_off():
+    # refresh_period_ms=0 (the default) never runs the refresh tick, so
+    # the client's NPER tick must retire expired soft-state records
+    system = make_system(n=6, seed=2)
+    assert system.config.refresh_period_ms == 0
+    system.attach_random_walk_streams()
+    system.warmup()
+    app = system.app(0)
+    client = app.runtime.client
+    pattern = np.sin(np.linspace(0, 4 * np.pi, system.config.window_size)) + 50
+    app.post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.05, lifespan_ms=1_000.0)
+    )
+    app.post_inner_product_query(point_query("stream-0", 0, 1_000.0))
+    assert client._active_sim_queries and client._active_ip_queries
+    system.run(3_000.0)
+    assert client._active_sim_queries == {}
+    assert client._active_ip_queries == {}
+
+
 def test_aggregator_created_at_middle_key_owner():
     system = make_system(n=10, seed=2)
     system.attach_random_walk_streams()

@@ -1,4 +1,7 @@
-"""Property-based tests for MBRs, the mapper, and no-false-dismissal."""
+"""Property-based tests for MBRs, the mapper, no-false-dismissal, and the
+index's delta matching."""
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.chord import IdSpace
-from repro.core import MBR, MBRBatcher, LinearKeyMapper
+from repro.core import MBR, LinearKeyMapper, LocalIndex, MBRBatcher
 from repro.core.adaptive import AdaptiveMBRBatcher
+from repro.core.protocol import ReplicaPublish, SimilaritySubscribe
+from repro.core.replication import ReplicationManager
 
 coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 features = arrays(np.float64, 4, elements=coord)
@@ -109,3 +114,142 @@ def test_no_false_dismissals_through_batching(points, q, radius):
     candidate = any(box.intersects_ball(q, radius) for box in boxes)
     if true_match:
         assert candidate
+
+
+# ---------------------------------------------------------------------------
+# delta matching against a full scalar rescan
+# ---------------------------------------------------------------------------
+# a coarse grid makes matches, ties and exact-radius boundaries common
+grid = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+points = st.one_of(st.tuples(grid, grid), st.tuples(coord, coord))
+widths = st.tuples(st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([0.0, 0.25, 0.5]))
+lives = st.sampled_from([0.5, 1.0, 2.0, 5.0, 20.0])
+streams = st.sampled_from(["a", "b", "c", "d", "e"])
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("mbr"), streams, points, widths, lives),
+        st.tuples(st.just("replica"), streams, points, widths, lives),
+        st.tuples(
+            st.just("sub"),
+            st.integers(1, 3),
+            points,
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+            lives,
+        ),
+        st.tuples(st.just("refresh"), st.integers(1, 3), lives),
+        st.tuples(st.just("purge")),
+        st.tuples(st.just("replica_purge")),
+        st.tuples(st.just("take_streams"), st.sets(streams, max_size=2)),
+        st.tuples(st.just("take_low"), grid),
+        st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _scalar_scan(store, feature, radius, now, skip, slack):
+    """The pre-delta detect loop: every stored entry, scalar MINDIST."""
+    out = []
+    for stream_id, entries in store.items():
+        if stream_id in skip:
+            continue
+        best = None
+        for e in entries:
+            if e.expires <= now:
+                continue
+            d = e.mbr.mindist(feature)
+            if d <= radius + slack and (best is None or d < best):
+                best = d
+        if best is not None:
+            out.append((stream_id, float(best)))
+    return out
+
+
+def _stub_holder():
+    """What ReplicationManager reads of its IndexHolderService here."""
+    return SimpleNamespace(
+        index=LocalIndex(),
+        cfg=SimpleNamespace(replication_factor=3),
+        node=SimpleNamespace(node_id=1),
+        transport=SimpleNamespace(now=0.0, route=lambda *args, **kw: None),
+    )
+
+
+def _box(stream_id, point, width):
+    low = np.array(point, dtype=np.float64)
+    return MBR(low=low, high=low + np.array(width), stream_id=stream_id)
+
+
+@given(index_ops)
+@settings(max_examples=200, deadline=None)
+def test_delta_matching_equals_full_rescan(ops):
+    """Each tick's candidates equal a rescan of everything with the scalar
+    loop: same streams, same order, bit-identical distances, and the same
+    ``reported`` sets — for the primary store and the replica store, under
+    any interleaving of inserts (new streams, streams re-added after
+    expiring), subscriptions and refreshes, purges and removals."""
+    holder = _stub_holder()
+    index = holder.index
+    replication = ReplicationManager(holder)
+    now = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "mbr":
+            _, sid, point, width, life = op
+            index.add_mbr(_box(sid, point, width), expires=now + life)
+        elif kind == "replica":
+            _, sid, point, width, life = op
+            replication.install_replica(
+                ReplicaPublish(
+                    mbr=_box(sid, point, width),
+                    source_id=0,
+                    low_key=0,
+                    high_key=1,
+                    owner_id=2,
+                    expires_ms=now + life,
+                )
+            )
+        elif kind == "sub":
+            _, qid, point, radius, life = op
+            sub = SimilaritySubscribe(
+                query_id=qid,
+                client_id=0,
+                feature=np.array(point),
+                radius=radius,
+                low_key=0,
+                high_key=1,
+                middle_key=0,
+                lifespan_ms=life,
+            )
+            index.add_similarity_sub(sub, expires=now + life)
+        elif kind == "refresh":
+            _, qid, life = op
+            if qid in index.similarity_subs:
+                index.add_similarity_sub(index.similarity_subs[qid].sub, now + life)
+        elif kind == "purge":
+            index.purge(now)
+        elif kind == "replica_purge":
+            replication.purge(now)
+        elif kind == "take_streams":
+            index.take_mbrs(lambda e, gone=op[1]: e.mbr.stream_id in gone)
+        elif kind == "take_low":
+            index.take_mbrs(lambda e, edge=op[1]: e.mbr.low[0] < edge)
+        else:
+            now += op[1]
+            want = []
+            for stored in index.similarity_subs.values():
+                feature, radius = stored.sub.feature, stored.sub.radius
+                reported = set(stored.reported)
+                primary = _scalar_scan(index._mbrs, feature, radius, now, reported, 0.0)
+                reported.update(sid for sid, _ in primary)
+                replica = _scalar_scan(replication.store, feature, radius, now, reported, 1e-12)
+                reported.update(sid for sid, _ in replica)
+                want.append((stored.sub.query_id, primary, replica, reported))
+            got = index.new_candidates(now)
+            got_replica = replication.new_candidates([s for s, _ in got], now)
+            assert [s for s, _ in got_replica] == [s for s, _ in got]
+            assert [
+                (s.sub.query_id, c, rc, s.reported)
+                for (s, c), (_, rc) in zip(got, got_replica)
+            ] == want
