@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import MBR, LocalIndex
 from repro.core.protocol import SimilaritySubscribe
+from repro.perf.counters import counting
 from repro.sim.rng import RngRegistry
 
 
@@ -55,6 +56,92 @@ def test_probe_equals_scalar_reference_exactly():
             assert gs == ws
             assert gd == wd  # bit-identical, not merely isclose
             assert math.isclose(gd, wd, rel_tol=0.0, abs_tol=0.0)
+
+
+def similarity_sub(query_id, feature, radius):
+    return SimilaritySubscribe(
+        query_id=query_id,
+        client_id=7,
+        feature=np.asarray(feature, dtype=np.float64),
+        radius=radius,
+        low_key=0,
+        high_key=10,
+        middle_key=5,
+        lifespan_ms=1000.0,
+    )
+
+
+def test_scan_reuses_stack_until_store_changes():
+    """A tick tests only the pairs the store changed since the last one."""
+    rng = RngRegistry(seed=7).get("index-stack")
+    idx = random_index(rng, n_streams=3, boxes_per_stream=2)
+    idx.add_similarity_sub(similarity_sub(1, np.zeros(4), 10.0), expires=1_000.0)
+    with counting() as ops:
+        idx.new_candidates(now=0.0)  # a new sub: every stored row
+    assert ops.get("index.rows_scanned") == 6
+    with counting() as ops:
+        idx.new_candidates(now=0.0)  # unchanged store: nothing to test
+    assert ops.get("index.rows_scanned") == 0
+
+    idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s0"), expires=99.0)
+    with counting() as ops:
+        idx.new_candidates(now=0.0)  # only the added row
+    assert ops.get("index.rows_scanned") == 1
+
+    # purge and take_mbrs remove rows; they add none to test
+    idx.purge(now=1_000.0 - 1.0)
+    idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id="s1"), expires=2_000.0)
+    idx.take_mbrs(lambda e: e.mbr.stream_id == "s1")
+    with counting() as ops:
+        idx.new_candidates(now=1_000.0 - 1.0)
+    assert ops.get("index.rows_scanned") == 0
+
+
+def test_end_of_layout_insert_appends_without_rebuild():
+    """Inserts anywhere in the store append to the tick's pending rows."""
+    rng = RngRegistry(seed=13).get("index-append")
+    idx = random_index(rng, n_streams=3, boxes_per_stream=2)
+    matcher = idx._matcher
+    assert matcher.pending is None  # no subscription: nothing tracked
+    idx.add_similarity_sub(similarity_sub(1, np.zeros(4), 10.0), expires=1_000.0)
+    idx.new_candidates(now=0.0)
+    assert matcher.pending == []
+    # the last stream in store order, a brand-new stream and a
+    # mid-store stream all land at the end of the pending rows
+    for sid in ("s2", "fresh", "s0"):
+        idx.add_mbr(MBR(low=np.zeros(4), high=np.ones(4), stream_id=sid), expires=99.0)
+    assert [e.mbr.stream_id for e in matcher.pending] == ["s2", "fresh", "s0"]
+    assert all(e is idx._mbrs[e.mbr.stream_id][-1] for e in matcher.pending)
+    ((_, found),) = idx.new_candidates(now=0.0)
+    assert [sid for sid, _ in found] == ["fresh"]  # s0/s2 were reported before
+    assert matcher.pending == []
+
+
+def test_incremental_append_matches_full_rebuild_exactly():
+    """Tick-by-tick delta matching equals a cold rescan of the whole store."""
+    rng = RngRegistry(seed=3).get("index-append-eq")
+    warm = LocalIndex()
+    cold = LocalIndex()
+    q = rng.uniform(-1.0, 1.0, 4)
+    warm.add_similarity_sub(similarity_sub(1, q, 1.2), expires=1_000.0)
+    matched = 0
+    for step in range(60):
+        lo = rng.uniform(-1, 1, 4)
+        hi = lo + rng.uniform(0, 0.5, 4)
+        mbr = MBR(low=lo, high=hi, stream_id=f"s{step % 5}")
+        expires = float(rng.uniform(50, 150))
+        warm.add_mbr(mbr, expires)
+        cold.add_mbr(mbr, expires)
+        reported = set(warm.similarity_subs[1].reported)
+        ((_, got),) = warm.new_candidates(now=25.0)
+        # a fresh sub on the cold index is tested against every row
+        cold.similarity_subs.clear()
+        cold.add_similarity_sub(similarity_sub(1, q, 1.2), expires=1_000.0)
+        cold.similarity_subs[1].reported.update(reported)
+        ((_, want),) = cold.new_candidates(now=25.0)
+        assert got == want  # same streams, same order, bit-identical dists
+        matched += len(got)
+    assert matched > 0
 
 
 def test_ragged_dimensionalities_fall_back_to_scalar():
