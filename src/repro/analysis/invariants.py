@@ -323,22 +323,11 @@ def check_index_placement(
     invisible to exactly the queries it should answer.  Expired MBRs are
     ignored: soft state left behind by churn is *expected* to be stale
     until BSPAN retires it.
-
-    Under adaptive remapping (DESIGN.md §13) a placement is accepted if
-    it is valid under *any* retained mapping epoch: entries published
-    before a refit legitimately sit where the old epoch routed them
-    until migration or BSPAN expiry moves them on.
     """
     report = InvariantReport()
     now = system.sim.now if now is None else now
     ring = system.ring
-    # every retained epoch's mapper for an adaptive mapper, else just
-    # the one static mapper
-    mappers = (
-        list(system.mapper.mappers())
-        if hasattr(system.mapper, "mappers")
-        else [system.mapper]
-    )
+    mapper = system.mapper
     for app in system.all_apps:
         if not app.node.alive:
             continue
@@ -346,15 +335,9 @@ def check_index_placement(
         for stored in app.index.live_mbrs(now):
             report.checks_run += 1
             vlow, vhigh = stored.mbr.first_coordinate_interval
-            placed = False
-            klow = khigh = 0
-            for m in mappers:
-                klow, khigh = m.key_range(vlow, vhigh)
-                if holder in ring.nodes_covering_range(klow, khigh):
-                    placed = True
-                    break
-            if not placed:
-                covering = ring.nodes_covering_range(klow, khigh)
+            klow, khigh = mapper.key_range(vlow, vhigh)
+            covering = ring.nodes_covering_range(klow, khigh)
+            if holder not in covering:
                 names = ", ".join(f"N{c.node_id}" for c in covering)
                 report.violations.append(
                     Violation(

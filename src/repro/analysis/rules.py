@@ -978,23 +978,18 @@ class NetworkPrimitiveContainmentRule(LintRule):
 # ----------------------------------------------------------------------
 @register
 class MappingMutationRule(LintRule):
-    """Remapping happens only through the sanctioned epoch-bump path.
+    """The key mapping is read-only outside its sanctioned homes.
 
-    The adaptive mapping (DESIGN.md §13) is *shared routing state*:
-    every source, client and holder derives keys from ``system.mapper``,
-    and the placement invariant tolerates a stale placement only because
-    each epoch bump flows through ``AdaptiveQuantileMapper.refit``
-    (which retains the superseded epoch) inside
-    ``StreamIndexSystem.run_adaptive_refit`` (which then triggers
-    ``MbrMigrate`` re-placement).  A rogue ``*.refit(...)`` call or a
-    direct write to ``*.mapper`` / ``*._epochs`` / ``*._edges`` anywhere
-    else re-keys the ring with no epoch history and no migration, so
-    already-stored MBRs silently become unreachable to new queries —
-    routing still succeeds, it just lands somewhere the data isn't.
-    Sanctioned homes: :mod:`repro.core.mapping` (the epoch machinery
-    itself) and :mod:`repro.core.system` (mapper construction and the
-    refit round).  Everything else treats the mapper as read-only and
-    requests a remap via ``StreamIndexSystem.run_adaptive_refit``.
+    The mapping (DESIGN.md §13) is *shared routing state*: every
+    source, client and holder derives keys from ``system.mapper``.  A
+    rogue ``*.refit(...)`` call (``AdaptiveQuantileMapper``'s epoch
+    bump) or a direct write to ``*.mapper`` / ``*._epochs`` /
+    ``*._edges`` re-keys the ring under already-stored MBRs, so they
+    silently become unreachable to new queries — routing still
+    succeeds, it just lands somewhere the data isn't.  Sanctioned
+    homes: :mod:`repro.core.mapping` (the mappers themselves) and
+    :mod:`repro.core.system` (mapper construction).  Everything else
+    treats the mapper as read-only.
     """
 
     code = "D013"
@@ -1020,9 +1015,9 @@ class MappingMutationRule(LintRule):
                 if dotted == suffix or dotted.endswith("." + suffix):
                     self.report(
                         node,
-                        f"direct remap `{dotted}(...)` bypasses epoch "
-                        "bookkeeping and migration; request remaps via "
-                        "StreamIndexSystem.run_adaptive_refit",
+                        f"direct remap `{dotted}(...)` re-keys the ring "
+                        "under already-stored MBRs; only core/mapping.py "
+                        "and core/system.py may change the mapping",
                     )
                     break
         self.generic_visit(node)

@@ -115,7 +115,6 @@ def stats_to_csv_string(stats) -> str:
         ("publishes_shed", stats.publishes_shed),
         ("backpressure_signals", stats.backpressure_signals),
         ("source_throttles", stats.source_throttles),
-        ("mbrs_migrated", stats.mbrs_migrated),
     ]
     for name, counter in counters:
         for key in sorted(counter, key=repr):

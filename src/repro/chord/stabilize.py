@@ -14,14 +14,12 @@ the paper's load figures count only application (MBR/query/response)
 messages, with overlay maintenance considered part of the Chord
 substrate.
 
-Two layers piggyback on the maintenance tick via the :attr:`Stabilizer
-.on_round` hook (``None`` by default, keeping the tick byte-identical
-to a build without them): the §10 replication layer's anti-entropy /
-hinted-handoff repair, and the §13 adaptive-mapping layer's key-density
-histogram reports — both are *soft-state* protocols in the paper's
-spirit (Sec. V: state is periodically re-asserted rather than
-transactionally maintained), so a lost round costs freshness, never
-correctness.
+The §10 replication layer's anti-entropy / hinted-handoff repair
+piggybacks on the maintenance tick via the :attr:`Stabilizer.on_round`
+hook (``None`` by default, keeping the tick byte-identical to a build
+without it) — a *soft-state* protocol in the paper's spirit (Sec. V:
+state is periodically re-asserted rather than transactionally
+maintained), so a lost round costs freshness, never correctness.
 
 Under virtual nodes (DESIGN.md §13) every token maintains itself
 independently — the protocol below is unchanged — and

@@ -117,12 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(1 disables; DESIGN.md §13)",
     )
     lossy.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptive quantile remapping: refit the key map to observed "
-        "key density on stabilization rounds and migrate stale MBRs",
-    )
-    lossy.add_argument(
         "--shed", type=float, default=0.0, metavar="RATE",
         help="admission control: per-holder token-bucket publish budget "
         "in MBRs/s (0 disables; sheds answer with LoadShed/Backpressure)",
@@ -471,7 +465,6 @@ def cmd_lossy(args, out) -> int:
         replication_factor=args.replication,
         consistency=args.consistency,
         virtual_nodes=args.vnodes,
-        adaptive_mapping=args.adaptive,
         admission_control=args.shed > 0,
         admission_rate_per_s=args.shed if args.shed > 0 else 20.0,
         workload=WorkloadConfig(qrate_per_s=0.0),
@@ -533,13 +526,6 @@ def cmd_lossy(args, out) -> int:
                 ["load skew (max/mean, physical)", (
                     f"{system.load_skew_ratio():.3f}"
                 )],
-            ]
-        )
-    if args.adaptive:
-        rows.extend(
-            [
-                ["mapping epoch", system.mapper.epoch],
-                ["MBRs migrated", sum(stats.mbrs_migrated.values())],
             ]
         )
     if args.shed > 0:

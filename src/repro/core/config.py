@@ -90,26 +90,19 @@ class MiddlewareConfig:
         ``"bidirectional"`` — send to the middle key and spread both
         ways (the Sec. IV-C/VI extension that halves propagation delay).
     hop_delay_ms:
-        Constant per-hop routing latency.
-    report_empty:
-        Whether range nodes send periodic similarity reports even when
-        they found no candidates (heartbeat semantics).
+        Constant per-hop routing latency (non-negative).
     successor_list_len:
         Chord successor-list length (fault tolerance).
     adaptive_mbr:
-        Use the Sec. VI-A adaptive precision batcher instead of plain
-        count batching.
-    adaptive_target_span / adaptive_initial_width:
-        Target node span and initial routing-coordinate width cap for
-        the adaptive batcher.
+        Use the Sec. VI-A adaptive precision batcher (with its own
+        default width cap and target span) instead of plain count
+        batching.
     hierarchy:
         Enable the Sec. VI-B cluster hierarchy: queries with radius
         above ``hierarchy_radius_threshold`` are served as one-shot
         probes via a leader climb (O(log N) contacts) instead of being
-        replicated across the key range.
-    hierarchy_cluster_size / hierarchy_margin:
-        Bottom-cluster size and level-0 widening margin of the
-        hierarchy's update-suppression scheme.
+        replicated across the key range.  Bottom clusters hold 4
+        nodes and the level-0 update-suppression margin is 0.02.
     reliable_delivery:
         Acknowledge critical control-plane messages (MBR publishes,
         subscribes, registrations, window requests) and retransmit on
@@ -144,11 +137,12 @@ class MiddlewareConfig:
         duplicate suppression (FIFO eviction once full).  Sized so ids
         outlive the retry window: an id evicted while its sender still
         retransmits would let a duplicate through as a fresh delivery.
-    loss_rate / duplicate_rate / delay_jitter_ms:
-        Convenience fault knobs: when any is non-zero (and no explicit
-        :class:`~repro.sim.faults.FaultPlan` is given to the system) the
-        network drops / duplicates each hop with these probabilities and
-        jitters the hop delay by ``± delay_jitter_ms``.
+    loss_rate / duplicate_rate:
+        Convenience fault knobs: when either is non-zero (and no
+        explicit :class:`~repro.sim.faults.FaultPlan` is given to the
+        system) the network drops / duplicates each hop with these
+        probabilities.  Delay jitter needs an explicit plan with a
+        :class:`~repro.sim.faults.JitteredDelay`.
     virtual_nodes:
         ``v``: ring identifiers (tokens) owned by every physical data
         center (DESIGN.md §13).  Each token is a full Chord node with
@@ -157,16 +151,6 @@ class MiddlewareConfig:
         classic virtual-node answer to hash-placement skew.  The
         default of 1 keeps the subsystem fully inert: node ids, event
         order and stats stay byte-identical to a build without it.
-    adaptive_mapping:
-        Enable the §13 online quantile re-fitter: index holders report
-        key-density histograms on stabilization rounds and the system
-        periodically re-fits the value→key mapping to equalize observed
-        key mass, bumping an epoch counter so in-flight routes resolve
-        against the mapping they were issued under.  Hot placements are
-        then migrated off overloaded holders via ``MbrMigrate``.
-    adaptive_refit_interval_rounds / adaptive_histogram_bins:
-        Stabilization rounds between re-fits, and resolution of the
-        per-holder key-density histograms feeding them.
     admission_control:
         Enable per-holder token-bucket admission control: MBR publishes
         beyond the bucket rate are shed (``LoadShed`` back to the
@@ -177,14 +161,6 @@ class MiddlewareConfig:
     admission_rate_per_s / admission_burst:
         Token-bucket refill rate (MBR publishes per second a holder
         accepts sustained) and bucket depth (burst tolerance).
-    stabilize_cohorts:
-        ``0`` (default): one stabilization timer per node, the
-        historical layout every pinned digest was produced under.
-        ``C > 0``: maintenance runs in ``C`` shared round-robin cohort
-        timers (``node_id % C``), each node still maintained once per
-        period — the batching that keeps the scheduler's timer
-        population O(C) instead of O(N) at large rings (PERFORMANCE.md
-        §11).
     workload:
         The Table I parameters.
     """
@@ -197,15 +173,10 @@ class MiddlewareConfig:
     query_radius: float = 0.1
     multicast: str = "sequential"
     hop_delay_ms: float = 50.0
-    report_empty: bool = False
     successor_list_len: int = 4
     adaptive_mbr: bool = False
-    adaptive_target_span: float = 2.0
-    adaptive_initial_width: float = 0.05
     hierarchy: bool = False
-    hierarchy_cluster_size: int = 4
     hierarchy_radius_threshold: float = 0.25
-    hierarchy_margin: float = 0.02
     reliable_delivery: bool = False
     ack_timeout_ms: float = 400.0
     retry_max: int = 5
@@ -217,15 +188,10 @@ class MiddlewareConfig:
     dedup_seen_limit: int = 8192
     loss_rate: float = 0.0
     duplicate_rate: float = 0.0
-    delay_jitter_ms: float = 0.0
     virtual_nodes: int = 1
-    adaptive_mapping: bool = False
-    adaptive_refit_interval_rounds: int = 8
-    adaptive_histogram_bins: int = 64
     admission_control: bool = False
     admission_rate_per_s: float = 20.0
     admission_burst: float = 10.0
-    stabilize_cohorts: int = 0
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
 
     def __post_init__(self) -> None:
@@ -239,12 +205,10 @@ class MiddlewareConfig:
             raise ValueError("query_radius must be in (0, 2]")
         if not (1 <= self.k < self.window_size):
             raise ValueError("need 1 <= k < window_size")
-        if self.hierarchy_cluster_size < 2:
-            raise ValueError("hierarchy_cluster_size must be >= 2")
+        if self.hop_delay_ms < 0:
+            raise ValueError("hop_delay_ms must be non-negative")
         if not (0.0 < self.hierarchy_radius_threshold <= 2.0):
             raise ValueError("hierarchy_radius_threshold must be in (0, 2]")
-        if self.hierarchy_margin < 0:
-            raise ValueError("hierarchy_margin must be non-negative")
         if self.ack_timeout_ms <= 0:
             raise ValueError("ack_timeout_ms must be positive")
         if self.retry_max < 0:
@@ -265,20 +229,12 @@ class MiddlewareConfig:
                            ("duplicate_rate", self.duplicate_rate)):
             if not (0.0 <= rate < 1.0):
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.delay_jitter_ms < 0:
-            raise ValueError("delay_jitter_ms must be non-negative")
         if self.virtual_nodes < 1:
             raise ValueError("virtual_nodes must be >= 1")
-        if self.adaptive_refit_interval_rounds < 1:
-            raise ValueError("adaptive_refit_interval_rounds must be >= 1")
-        if self.adaptive_histogram_bins < 2:
-            raise ValueError("adaptive_histogram_bins must be >= 2")
         if self.admission_rate_per_s <= 0:
             raise ValueError("admission_rate_per_s must be positive")
         if self.admission_burst < 1:
             raise ValueError("admission_burst must be >= 1")
-        if self.stabilize_cohorts < 0:
-            raise ValueError("stabilize_cohorts must be >= 0")
 
     @property
     def duplicates_possible(self) -> bool:

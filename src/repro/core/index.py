@@ -81,10 +81,8 @@ Candidates = List[Tuple[str, float]]
 class StoredMBR:
     """An MBR held by a data center until ``expires``.
 
-    ``source_id`` remembers the publishing node so a later adaptive
-    migration (DESIGN.md §13) can keep replication ownership attributed
-    to the stream's source; ``-1`` for entries installed through paths
-    that don't carry it.
+    ``source_id`` remembers the publishing node; ``-1`` for entries
+    installed through paths that don't carry it.
     """
 
     mbr: MBR
@@ -318,11 +316,10 @@ class LocalIndex:
     def take_mbrs(self, predicate) -> List[StoredMBR]:
         """Remove and return stored MBRs matching ``predicate(entry)``.
 
-        Used by adaptive remapping (DESIGN.md §13): after a quantile
-        refit, entries whose key range moved off this holder's arc are
-        taken out of the store and re-disseminated as ``MbrMigrate``
-        payloads toward their new holders.  Entries the predicate
-        rejects stay untouched.
+        Entries the predicate rejects stay untouched.  No system path
+        calls it today (DESIGN.md §13); it is kept, with the delta
+        matcher mirroring it, because the reference benchmark's tracer
+        wraps it by name.
         """
         taken: List[StoredMBR] = []
         for sid in list(self._mbrs):

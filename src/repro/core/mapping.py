@@ -16,19 +16,16 @@ future work; :class:`QuantileKeyMapper` implements that extension — an
 equi-depth mapping built from a sample of observed feature values, which
 restores uniform load when the value distribution is skewed.
 
-:class:`AdaptiveQuantileMapper` closes the loop *online* (DESIGN.md
-§13): index holders histogram the routing coordinates they actually
-receive, the histograms are merged on stabilization rounds, and
-:meth:`AdaptiveQuantileMapper.refit` periodically rebuilds the
-equi-depth mapping from the merged density.  Every refit bumps an
-**epoch**; a bounded window of past epochs stays resolvable
-(:meth:`AdaptiveQuantileMapper.mapper_at`) so anything placed or routed
-under an older epoch — in-flight publishes carry their keys, stored
-MBRs carry their placement — can still be interpreted while migration
-(``MbrMigrate``) moves stale placements to their new-epoch owners.
-Monotonicity is preserved at every epoch, so range queries always
-translate to contiguous key ranges and the paper's no-false-dismissal
-guarantee (Sec. IV-D) is unaffected by remapping.
+:class:`AdaptiveQuantileMapper` is the epoch-versioned form: starting
+from the Eq. 6 linear map, :meth:`AdaptiveQuantileMapper.refit` installs
+an equi-depth mapping fitted to a density histogram as a new **epoch**,
+and a bounded window of past epochs stays resolvable
+(:meth:`AdaptiveQuantileMapper.mapper_at`).  No system path refits it
+(DESIGN.md §13); it is kept as a unit-tested drop-in ``mapper=`` for
+:class:`~repro.core.system.StreamIndexSystem`.  Monotonicity is
+preserved at every epoch, so range queries always translate to
+contiguous key ranges and the paper's no-false-dismissal guarantee
+(Sec. IV-D) holds under any of them.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from ..chord.idspace import IdSpace
 __all__ = [
     "LinearKeyMapper",
     "QuantileKeyMapper",
-    "KeyDensityHistogram",
     "AdaptiveQuantileMapper",
     "paper_example_key",
 ]
@@ -128,8 +124,8 @@ class QuantileKeyMapper:
         """Build a mapper directly from precomputed quantile edges.
 
         ``edges[i]`` is the value whose CDF is ``i / (len(edges) - 1)``;
-        the online re-fitter derives them from merged key-density
-        histograms instead of a raw value sample.
+        :meth:`AdaptiveQuantileMapper.refit` derives them from a density
+        histogram instead of a raw value sample.
         """
         arr = np.asarray(edges, dtype=np.float64)
         if arr.size < 3:
@@ -160,55 +156,17 @@ class QuantileKeyMapper:
         return self.key_of(low_value), self.key_of(high_value)
 
 
-class KeyDensityHistogram:
-    """Per-holder histogram of observed routing coordinates (§13).
-
-    Each index holder bins the first-coordinate midpoints of the MBRs
-    content routing delivers to it; on stabilization rounds the bins
-    are drained into the system-wide density estimate that feeds
-    :meth:`AdaptiveQuantileMapper.refit`.  Deliberately tiny — a fixed
-    ``bins``-cell count array over ``[vmin, vmax]`` — so the report
-    piggybacking on the (uncharged) stabilization round stays O(bins).
-    """
-
-    def __init__(self, bins: int, vmin: float = -1.0, vmax: float = 1.0) -> None:
-        if bins < 2:
-            raise ValueError("need at least 2 bins")
-        if vmax <= vmin:
-            raise ValueError(f"need vmax > vmin, got [{vmin}, {vmax}]")
-        self.bins = bins
-        self.vmin = float(vmin)
-        self.vmax = float(vmax)
-        self.counts = np.zeros(bins, dtype=np.float64)
-        self.total = 0
-
-    def observe(self, value: float) -> None:
-        """Record one routing coordinate (clamped into ``[vmin, vmax]``)."""
-        v = min(max(float(value), self.vmin), self.vmax)
-        frac = (v - self.vmin) / (self.vmax - self.vmin)
-        idx = min(int(frac * self.bins), self.bins - 1)
-        self.counts[idx] += 1.0
-        self.total += 1
-
-    def drain(self) -> np.ndarray:
-        """Return and reset the accumulated counts (one report)."""
-        out = self.counts
-        self.counts = np.zeros(self.bins, dtype=np.float64)
-        self.total = 0
-        return out
-
-
 class AdaptiveQuantileMapper:
-    """Epoch-versioned online quantile re-fitter (DESIGN.md §13).
+    """Epoch-versioned quantile re-fitter (DESIGN.md §13).
 
-    Epoch 0 is exactly the paper's Eq. 6 linear map, so an adaptive
-    system behaves identically to a static one until the first refit.
-    :meth:`refit` consumes a merged key-density histogram, inverts its
-    CDF into equi-depth quantile edges, and installs the resulting
+    Epoch 0 is exactly the paper's Eq. 6 linear map, so a system built
+    with this mapper behaves identically to a static one until a refit.
+    :meth:`refit` consumes a value-density histogram, inverts its CDF
+    into equi-depth quantile edges, and installs the resulting
     :class:`QuantileKeyMapper` as a *new epoch* — the previous
     ``history`` epochs stay resolvable through :meth:`mapper_at` so
-    state placed under them (in-flight publishes, not-yet-migrated
-    MBRs) can still be checked against the mapping it was routed by.
+    state placed under them can still be checked against the mapping
+    it was routed by.
 
     The un-suffixed ``key_of`` / ``key_range`` / ``value_of`` methods
     delegate to the current epoch, making this a drop-in
@@ -255,8 +213,7 @@ class AdaptiveQuantileMapper:
         """The mapper of a (retained) past epoch.
 
         Epochs older than the retained window resolve to the oldest
-        retained mapper — by then migration has re-placed their state,
-        so the approximation only ever affects diagnostics.
+        retained mapper.
         """
         if epoch in self._epochs:
             return self._epochs[epoch]

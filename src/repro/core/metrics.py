@@ -193,8 +193,7 @@ class FigureMetrics:
     def load_balance_summary(self) -> Dict[str, float]:
         """Load-balancing-plane counters (DESIGN.md §13).
 
-        All 0 with ``virtual_nodes=1``, ``adaptive_mapping=False`` and
-        ``admission_control=False``.  ``max_mean_load_ratio`` is the §13
+        All 0 with ``virtual_nodes=1`` and ``admission_control=False``.  ``max_mean_load_ratio`` is the §13
         skew metric over the *token* load map (per-physical aggregation
         needs the system's :class:`~repro.chord.vnodes.VirtualNodeMap`
         and is reported by ``StreamIndexSystem.load_skew_ratio``).
@@ -208,8 +207,6 @@ class FigureMetrics:
             "shed_notices": float(s.sends_by_kind.get("shed", 0)),
             "backpressure_signals": float(sum(s.backpressure_signals.values())),
             "source_throttles": float(sum(s.source_throttles.values())),
-            "mbrs_migrated": float(sum(s.mbrs_migrated.values())),
-            "migrate_sends": float(s.sends_by_kind.get("migrate", 0)),
             "max_mean_load_ratio": float(ratio),
         }
 

@@ -56,7 +56,6 @@ __all__ = [
     "ReplicaAck",
     "ReplicaDigestPull",
     "HintedHandoff",
-    "MbrMigrate",
     "LoadShed",
     "Backpressure",
     "Ack",
@@ -113,11 +112,10 @@ class KIND:
     hinted handoff.  None of these are emitted at ``replication_factor
     = 1``.
 
-    The load-balancing subsystem (DESIGN.md §13) adds ``MIGRATE`` /
-    ``MIGRATE_SPAN`` / ``MIGRATE_TRANSIT`` for adaptive-remapping MBR
-    migration, and ``SHED`` / ``BACKPRESSURE`` (with their transit
-    kinds) for admission control's source signaling.  None are emitted
-    unless ``adaptive_mapping`` / ``admission_control`` is enabled.
+    The load-balancing subsystem (DESIGN.md §13) adds ``SHED`` /
+    ``BACKPRESSURE`` (with their transit kinds) for admission control's
+    source signaling.  Neither is emitted unless ``admission_control``
+    is enabled.
     """
 
     MBR = "mbr"
@@ -143,9 +141,6 @@ class KIND:
     REPLICA_PULL = "replica_pull"
     HANDOFF = "handoff"
     HANDOFF_TRANSIT = "handoff_transit"
-    MIGRATE = "migrate"
-    MIGRATE_SPAN = "migrate_span"
-    MIGRATE_TRANSIT = "migrate_transit"
     SHED = "shed"
     SHED_TRANSIT = "shed_transit"
     BACKPRESSURE = "backpressure"
@@ -670,37 +665,6 @@ class HintedHandoff:
     low_key: int
     high_key: int
     expires_ms: float
-    delivery_id: int = -1
-
-
-@payload(
-    kind=KIND.MIGRATE,
-    dedup=True,
-    ack_on_delivery=True,
-    ack_kinds=(KIND.MIGRATE,),
-    senders=("index-holder",),
-)
-@dataclass
-class MbrMigrate:
-    """A stored MBR moving to its new-epoch owners (DESIGN.md §13).
-
-    After an adaptive-mapping refit, a holder whose arc no longer
-    intersects an MBR's re-computed key range re-disseminates the entry
-    over ``[low_key, high_key]`` *under the new epoch* and drops its
-    local copy — the receive side installs it exactly like a fresh
-    :class:`MbrPublish` (store, continue span, re-replicate), so
-    queries routed under the new mapping find the summary where they
-    look.  ``epoch`` records the mapping version the keys were computed
-    under; ``source_id`` is preserved from the original publish so
-    replication ownership stays attributed to the stream's source.
-    """
-
-    mbr: MBR
-    source_id: int
-    low_key: int
-    high_key: int
-    lifespan_ms: float
-    epoch: int
     delivery_id: int = -1
 
 

@@ -18,7 +18,6 @@ from typing import Dict
 from ...sim.network import Message
 from ..admission import AdmissionController
 from ..index import LocalIndex
-from ..mapping import KeyDensityHistogram
 from ..protocol import (
     KIND,
     Backpressure,
@@ -27,7 +26,6 @@ from ..protocol import (
     InnerProductSubscribe,
     LoadShed,
     LocateRequest,
-    MbrMigrate,
     MbrPublish,
     RegisterStream,
     ReplicaAck,
@@ -62,9 +60,6 @@ class IndexHolderService(RoleService):
             self.cfg.admission_burst,
             enabled=self.cfg.admission_control,
         )
-        #: first-coordinate density seen by this holder between refits,
-        #: drained by the system's adaptive round (DESIGN.md §13)
-        self.key_density = KeyDensityHistogram(self.cfg.adaptive_histogram_bins)
 
     # ------------------------------------------------------------------
     # message handlers
@@ -79,16 +74,11 @@ class IndexHolderService(RoleService):
         coordinate interval spans several arcs — the range multicast is
         continued toward the remaining covering nodes.
 
-        Two §13 hooks run first, both inert at default config: the
-        admission gate (shed instead of store when the token bucket is
-        empty) and the key-density observation feeding adaptive
-        quantile refits.
+        The §13 admission gate runs first, inert at default config: it
+        sheds instead of storing when the token bucket is empty.
         """
         if not self._admit_mbr(message, payload):
             return
-        if self.cfg.adaptive_mapping:
-            vlow, vhigh = payload.mbr.first_coordinate_interval
-            self.key_density.observe((vlow + vhigh) / 2.0)
         self.index.add_mbr(
             payload.mbr,
             expires=self.transport.now + payload.lifespan_ms,
@@ -171,35 +161,6 @@ class IndexHolderService(RoleService):
                     self.node, msg, transit_kind=KIND.BACKPRESSURE_TRANSIT
                 )
         return False
-
-    @handles(MbrMigrate)
-    def on_migrate(self, message: Message, payload: MbrMigrate) -> None:
-        """Install an MBR migrated here after an adaptive refit (§13).
-
-        The receive side mirrors :meth:`on_mbr`: lease the summary into
-        the local index, continue the range span over the remaining
-        covering arcs, and re-assert replication ownership — so a
-        migrated entry is indistinguishable from a fresh publish to
-        queries routed under the new epoch.  Migrations bypass the
-        admission gate: they carry load *away* from hot holders, and
-        shedding them would strand the summary between owners.
-        """
-        expires = self.transport.now + payload.lifespan_ms
-        self.index.add_mbr(payload.mbr, expires=expires, source_id=payload.source_id)
-        self.transport.continue_span(
-            self.node,
-            message,
-            low_key=payload.low_key,
-            high_key=payload.high_key,
-            span_kind=KIND.MIGRATE_SPAN,
-        )
-        self.replication.note_primary(
-            payload.mbr,
-            source_id=payload.source_id,
-            low_key=payload.low_key,
-            high_key=payload.high_key,
-            expires=expires,
-        )
 
     @handles(SimilaritySubscribe)
     def on_similarity_subscribe(
@@ -315,72 +276,6 @@ class IndexHolderService(RoleService):
         self.replication.install_handoff(payload, origin=message.origin)
 
     # ------------------------------------------------------------------
-    # adaptive-mapping migration (DESIGN.md §13)
-    # ------------------------------------------------------------------
-    def _arc_intersects(self, klow: int, khigh: int) -> bool:
-        """Whether this node's arc meets the circular range [klow, khigh].
-
-        Two circular intervals intersect iff either's start lies inside
-        the other; the arc is ``(predecessor, self]``, so its start is
-        ``predecessor + 1`` (or ``self`` when the pointer is unset).
-        """
-        node = self.node
-        if node.owns_key(klow):
-            return True
-        size = node.space.size
-        if node.predecessor is None or not node.predecessor.alive:
-            arc_start = node.node_id
-        else:
-            arc_start = (node.predecessor.node_id + 1) % size
-        return (arc_start - klow) % size <= (khigh - klow) % size
-
-    def migrate_stale(self, now: float) -> int:
-        """Move MBRs whose re-computed key range left this holder's arc.
-
-        Called by the system right after an adaptive refit: every live
-        entry whose first-coordinate interval now maps (under the fresh
-        epoch) to a range missing this node's arc is removed from the
-        store and re-disseminated as an :class:`MbrMigrate` over its
-        new range — the MBR-split step of §13's remapping.  Entries the
-        new mapping still places here are untouched, so a refit that
-        barely moves the quantile edges migrates almost nothing.
-        Returns the number of entries moved.
-        """
-        mapper = self.system.mapper
-        epoch = getattr(mapper, "epoch", 0)
-
-        def stale(entry) -> bool:
-            if entry.expires <= now:
-                return False  # expiring anyway; migrating it wastes sends
-            vlow, vhigh = entry.mbr.first_coordinate_interval
-            klow, khigh = mapper.key_range(vlow, vhigh)
-            return not self._arc_intersects(klow, khigh)
-
-        taken = self.index.take_mbrs(stale)
-        for entry in taken:
-            vlow, vhigh = entry.mbr.first_coordinate_interval
-            klow, khigh = mapper.key_range(vlow, vhigh)
-            mig = MbrMigrate(
-                mbr=entry.mbr,
-                source_id=entry.source_id,
-                low_key=klow,
-                high_key=khigh,
-                lifespan_ms=entry.expires - now,
-                epoch=epoch,
-                delivery_id=next_delivery_id(),
-            )
-            self._stats.record_mbr_migrated(KIND.MIGRATE)
-            self._stats.record_origination(KIND.MIGRATE)
-            self.runtime.reliable_disseminate(
-                mig,
-                kind=KIND.MIGRATE,
-                transit_kind=KIND.MIGRATE_TRANSIT,
-                low_key=klow,
-                high_key=khigh,
-            )
-        return len(taken)
-
-    # ------------------------------------------------------------------
     # periodic duties
     # ------------------------------------------------------------------
     def on_notification_tick(self, now: float) -> None:
@@ -425,7 +320,7 @@ class IndexHolderService(RoleService):
                     else:
                         agg.absorb(candidates)
                 continue
-            if candidates or self.cfg.report_empty:
+            if candidates:
                 rep = reports.setdefault(
                     mid,
                     SimilarityReport(

@@ -99,12 +99,7 @@ class SourceService(RoleService):
         if stream_id in self.sources:
             raise ValueError(f"stream {stream_id!r} already attached")
         if self.cfg.adaptive_mbr:
-            batcher = AdaptiveMBRBatcher(
-                stream_id,
-                self.cfg.batch_size,
-                width_limit=self.cfg.adaptive_initial_width,
-                target_span=self.cfg.adaptive_target_span,
-            )
+            batcher = AdaptiveMBRBatcher(stream_id, self.cfg.batch_size)
         else:
             batcher = MBRBatcher(stream_id, self.cfg.batch_size)
         src = SourceState(

@@ -27,13 +27,13 @@ from ..chord.stabilize import Stabilizer
 from ..chord.vnodes import VirtualNodeMap, vnode_names
 from ..net.transport import SimTransport
 from ..sim.engine import Simulator
-from ..sim.faults import FaultInjector, FaultPlan, JitteredDelay
+from ..sim.faults import FaultInjector, FaultPlan
 from ..sim.network import MessageStats, Network
 from ..sim.process import PeriodicProcess
 from ..sim.rng import RngRegistry
 from ..streams.generators import RandomWalkGenerator
 from .config import MiddlewareConfig
-from .mapping import AdaptiveQuantileMapper, LinearKeyMapper
+from .mapping import LinearKeyMapper
 from .metrics import FigureMetrics
 from .middleware import StreamIndexNode
 from .multicast import RangeMulticast
@@ -60,9 +60,8 @@ class StreamIndexSystem:
         membership experiments; static experiments skip its event load).
     fault_plan:
         Explicit network fault model; overrides the convenience
-        ``loss_rate`` / ``duplicate_rate`` / ``delay_jitter_ms`` config
-        knobs.  ``None`` with all knobs at zero keeps the paper's
-        perfect fabric.
+        ``loss_rate`` / ``duplicate_rate`` config knobs.  ``None`` with
+        both at zero keeps the paper's perfect fabric.
     """
 
     def __init__(
@@ -107,19 +106,7 @@ class StreamIndexSystem:
                 self.vmap.register(node)
         self.ring.build(self.config.successor_list_len)
         self.overlay = DhtOverlay(self.ring, self.network)
-        if mapper is not None:
-            self.mapper = mapper
-        elif self.config.adaptive_mapping:
-            # DESIGN.md §13: epoch 0 of the adaptive mapper IS the
-            # Eq. 6 linear map, so enabling the flag changes nothing
-            # until the first refit actually fires
-            self.mapper = AdaptiveQuantileMapper(
-                self.ring.space, bins=self.config.adaptive_histogram_bins
-            )
-        else:
-            self.mapper = LinearKeyMapper(self.ring.space)
-        #: stabilization rounds seen since the last adaptive refit
-        self._adaptive_rounds = 0
+        self.mapper = mapper if mapper is not None else LinearKeyMapper(self.ring.space)
         self.multicast = RangeMulticast(self.overlay, self.config.multicast)
         #: the Transport seam: dispatch/reliability/roles send and read
         #: the clock through this, never through Network directly
@@ -135,27 +122,13 @@ class StreamIndexSystem:
                 self.sim,
                 self.ring,
                 successor_list_len=self.config.successor_list_len,
-                cohorts=self.config.stabilize_cohorts,
             )
             self.stabilizer.bootstrap_ring(list(self.ring))
-            # anti-entropy / hinted-handoff (§10) and adaptive-refit
-            # (§13) duties piggyback on the per-node stabilization
-            # round; the hook stays None when neither feature is on so
-            # default runs are byte-identical
-            hooks = []
+            # anti-entropy / hinted-handoff (§10) piggybacks on the
+            # per-node stabilization round; the hook stays None at r = 1
+            # so default runs are byte-identical
             if self.config.replication_factor > 1:
-                hooks.append(self._replication_round)
-            if self.config.adaptive_mapping:
-                hooks.append(self._adaptive_round)
-            if len(hooks) == 1:
-                self.stabilizer.on_round = hooks[0]
-            elif hooks:
-
-                def chained(node, _hooks=tuple(hooks)):
-                    for hook in _hooks:
-                        hook(node)
-
-                self.stabilizer.on_round = chained
+                self.stabilizer.on_round = self._replication_round
 
         # Sec. VI-B: optional cluster hierarchy over the ring order for
         # wide-selectivity queries
@@ -163,12 +136,11 @@ class StreamIndexSystem:
         if self.config.hierarchy and n_nodes >= 2:
             from .hierarchy import ClusterHierarchy, HierarchicalIndex
 
-            cluster = ClusterHierarchy(
-                list(self.ring.node_ids),
-                cluster_size=self.config.hierarchy_cluster_size,
-            )
+            cluster = ClusterHierarchy(list(self.ring.node_ids))
+            # the level-0 margin is 0.02, not HierarchicalIndex's 0.01
+            # default (pinned in tests/integration/test_hierarchy_mode.py)
             self.hierarchy_index = HierarchicalIndex(
-                self.network, cluster, base_margin=self.config.hierarchy_margin
+                self.network, cluster, base_margin=0.02
             )
 
         self.apps: Dict[int, StreamIndexNode] = {}
@@ -187,16 +159,9 @@ class StreamIndexSystem:
     @staticmethod
     def _plan_from_config(cfg: MiddlewareConfig) -> Optional[FaultPlan]:
         """Build a fault plan from the convenience config knobs."""
-        if not (cfg.loss_rate or cfg.duplicate_rate or cfg.delay_jitter_ms):
+        if not (cfg.loss_rate or cfg.duplicate_rate):
             return None
-        delay = None
-        if cfg.delay_jitter_ms > 0.0:
-            delay = JitteredDelay(base_ms=cfg.hop_delay_ms, jitter_ms=cfg.delay_jitter_ms)
-        return FaultPlan(
-            loss_rate=cfg.loss_rate,
-            duplicate_rate=cfg.duplicate_rate,
-            delay_model=delay,
-        )
+        return FaultPlan(loss_rate=cfg.loss_rate, duplicate_rate=cfg.duplicate_rate)
 
     def _node_alive(self, node_id: int) -> bool:
         """Whether messages arriving at ``node_id`` find a live node."""
@@ -445,53 +410,6 @@ class StreamIndexSystem:
         app = self.apps.get(node.node_id)
         if app is not None and app.node.alive:
             app.runtime.holder.replication.on_round(self.sim.now)
-
-    # ------------------------------------------------------------------
-    # adaptive quantile remapping (DESIGN.md §13)
-    # ------------------------------------------------------------------
-    def _adaptive_round(self, node) -> None:
-        """Stabilizer hook: refit once every N full stabilization sweeps.
-
-        The stabilizer calls the hook once per node per round, so a
-        "sweep" is ``live-token-count`` calls; counting calls rather
-        than wall time keeps the refit cadence churn-proof and
-        deterministic.
-        """
-        self._adaptive_rounds += 1
-        live = sum(1 for n in self.ring if n.alive) or 1
-        if self._adaptive_rounds >= self.config.adaptive_refit_interval_rounds * live:
-            self._adaptive_rounds = 0
-            self.run_adaptive_refit()
-
-    def run_adaptive_refit(self) -> Optional[int]:
-        """Drain holder histograms, refit the mapping, migrate stale MBRs.
-
-        The three-step remap of §13: (1) pool every live holder's
-        key-density histogram, (2) invert the pooled CDF into fresh
-        equi-depth quantile edges (a new mapping epoch — older epochs
-        stay queryable for in-flight traffic), (3) have each holder
-        re-disseminate the stored MBRs whose re-computed range left its
-        arc.  Returns the new epoch, or ``None`` when the mapper is not
-        adaptive or no key density was observed since the last refit.
-        """
-        mapper = self.mapper
-        if not isinstance(mapper, AdaptiveQuantileMapper):
-            return None
-        apps = [app for app in self.apps.values() if app.node.alive]
-        total = None
-        for app in apps:
-            hist = app.runtime.holder.key_density
-            if hist.total <= 0:
-                continue
-            counts = hist.drain()
-            total = counts if total is None else total + counts
-        if total is None:
-            return None
-        epoch = mapper.refit(total)
-        now = self.sim.now
-        for app in apps:
-            app.runtime.holder.migrate_stale(now)
-        return epoch
 
     def handoff_backlog(self) -> int:
         """Hinted handoffs queued but not yet delivered, system-wide."""

@@ -170,9 +170,6 @@ class MessageStats:
         self.backpressure_signals: Counter[str] = Counter()
         #: source publishes deferred by throttling, per kind
         self.source_throttles: Counter[str] = Counter()
-        #: stored MBRs migrated to new-epoch owners after a mapping
-        #: refit, per kind (empty unless adaptive_mapping is on)
-        self.mbrs_migrated: Counter[str] = Counter()
         #: messages already in flight when this ledger was installed
         #: (their receives/drops land here without a matching send);
         #: set by ``StreamIndexSystem.reset_stats`` so the conservation
@@ -252,10 +249,6 @@ class MessageStats:
     def record_source_throttle(self, kind: str) -> None:
         """Record a publish deferred by a throttled source."""
         self.source_throttles[kind] += 1
-
-    def record_mbr_migrated(self, kind: str) -> None:
-        """Record a stored MBR migrated after a mapping refit."""
-        self.mbrs_migrated[kind] += 1
 
     def record_delivery(self, msg: Message, now: float) -> None:
         """Record final delivery of a logical message (hops & latency)."""

@@ -31,7 +31,6 @@ __all__ = [
     "truncated_dft",
     "reconstruct_from_coefficients",
     "SlidingDFT",
-    "SlidingDFTBank",
 ]
 
 
@@ -179,118 +178,3 @@ class SlidingDFT:
         ):
             self.initialize(window)
         return self._coeffs  # hot path: callers must not mutate
-
-    def update_many(self, appended: np.ndarray, evicted: np.ndarray) -> np.ndarray:
-        """Apply a whole batch of slides in one closed-form array op.
-
-        Unrolling the Eq. 5 recurrence over ``T`` consecutive slides
-        (appending ``appended[t]`` while dropping ``evicted[t]``) gives
-
-        .. math::
-
-            X^{(T)} = X^{(0)}\\,\\omega^T
-                      + \\sum_{t=1}^{T} \\delta_t\\,\\omega^{\\,T-t+1}
-
-        evaluated here as one outer product instead of ``T`` sequential
-        multiply-adds.  The result is mathematically identical to ``T``
-        calls to :meth:`update` but **only isclose-equivalent** in
-        floating point (the power table regroups the products), so the
-        simulation hot path keeps the sequential form; this batch entry
-        point serves offline/bulk ingestion and the perf microbench.
-        Drift-refresh bookkeeping advances by ``T`` steps (no window is
-        consulted — call :meth:`initialize` to refresh after bulk loads).
-        """
-        appended = np.asarray(appended, dtype=np.float64)
-        evicted = np.asarray(evicted, dtype=np.float64)
-        if appended.shape != evicted.shape or appended.ndim != 1:
-            raise ValueError(
-                f"appended/evicted must be equal-length 1-D arrays, got "
-                f"{appended.shape} and {evicted.shape}"
-            )
-        steps = len(appended)
-        if steps == 0:
-            return self._coeffs
-        deltas = (appended - evicted) * self._inv_sqrt_n
-        # powers[t, f] = omega_f ** (T - t); one extra multiply by omega
-        # at the end supplies the "+1" in the exponent.
-        exponents = np.arange(steps - 1, -1, -1, dtype=np.float64)
-        powers = self._omega[np.newaxis, :] ** exponents[:, np.newaxis]
-        coeffs = self._coeffs
-        coeffs *= self._omega ** steps
-        coeffs += (deltas[:, np.newaxis] * powers).sum(axis=0) * self._omega
-        self._steps_since_refresh += steps
-        return self._coeffs
-
-
-class SlidingDFTBank:
-    """Sliding DFTs of many equal-length streams, updated as one array op.
-
-    A data center sources many streams with the same window length and
-    coefficient count; per-tick maintenance then need not loop over
-    Python objects — stacking the coefficient vectors into an ``(S, k)``
-    complex array turns ``S`` Eq. 5 updates into one broadcasted
-    multiply-add.  All operations are *elementwise* over the stream
-    axis, so each row is bit-identical to what a standalone
-    :class:`SlidingDFT` fed the same samples would hold (regression-
-    tested in ``tests/streams/test_dft.py``).
-
-    Parameters
-    ----------
-    n_streams:
-        Number of streams ``S`` (rows).
-    n:
-        Shared window length.
-    k:
-        Leading coefficients kept per stream (``X_0 .. X_{k-1}``).
-    """
-
-    def __init__(self, n_streams: int, n: int, k: int) -> None:
-        if n_streams < 1:
-            raise ValueError(f"need at least one stream, got {n_streams}")
-        if not (1 <= k <= n):
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        self.n_streams = n_streams
-        self.n = n
-        self.k = k
-        self._coeffs = np.zeros((n_streams, k), dtype=np.complex128)
-        self._omega = np.exp(2j * np.pi * np.arange(k) / n)
-        self._inv_sqrt_n = 1.0 / np.sqrt(n)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The ``(S, k)`` coefficient matrix (a defensive copy)."""
-        return self._coeffs.copy()
-
-    def row(self, s: int) -> np.ndarray:
-        """Coefficients ``X_0 .. X_{k-1}`` of stream ``s`` (a copy)."""
-        return self._coeffs[s].copy()
-
-    def initialize(self, windows: np.ndarray) -> None:
-        """Set all rows exactly from an ``(S, n)`` matrix of windows."""
-        windows = np.asarray(windows, dtype=np.float64)
-        if windows.shape != (self.n_streams, self.n):
-            raise ValueError(
-                f"expected windows of shape {(self.n_streams, self.n)}, "
-                f"got {windows.shape}"
-            )
-        self._coeffs = np.fft.fft(windows, axis=1)[:, : self.k] / np.sqrt(self.n)
-
-    def update(self, appended: np.ndarray, evicted: np.ndarray) -> np.ndarray:
-        """Slide every stream's window by one value; returns the live matrix.
-
-        ``appended[s]`` / ``evicted[s]`` are the new and dropped sample
-        of stream ``s``.  One vectorised Eq. 5 step; the returned array
-        is the internal buffer — callers must not mutate it.
-        """
-        appended = np.asarray(appended, dtype=np.float64)
-        evicted = np.asarray(evicted, dtype=np.float64)
-        if appended.shape != (self.n_streams,) or evicted.shape != (self.n_streams,):
-            raise ValueError(
-                f"expected per-stream vectors of shape {(self.n_streams,)}, "
-                f"got {appended.shape} and {evicted.shape}"
-            )
-        deltas = (appended - evicted) * self._inv_sqrt_n
-        coeffs = self._coeffs
-        coeffs += deltas[:, np.newaxis]
-        coeffs *= self._omega[np.newaxis, :]
-        return coeffs

@@ -24,10 +24,9 @@ load:
   that redirects traffic into the already-hot band.
 
 The skew this produces is what virtual nodes dilute (more, thinner
-arcs inside the hot band → more physical owners sharing it), adaptive
-remapping dissolves (equi-depth edges widen the hot band's key image),
-and admission control caps (hot holders shed the Zipf head back to its
-sources) — the three §13 levers, each measurable via
+arcs inside the hot band → more physical owners sharing it) and
+admission control caps (hot holders shed the Zipf head back to its
+sources) — the §13 levers, each measurable via
 ``StreamIndexSystem.load_skew_ratio``.
 """
 

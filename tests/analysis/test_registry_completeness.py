@@ -4,9 +4,9 @@ The protocol registry drives four operator-facing surfaces: the
 ``repro protocol`` table (and its ``--json`` dump feeding the wire
 codec docs), the ``repro flow`` send/handle graph, and the simflow
 baseline.  A payload that exists in the registry but is missing from
-one of them is invisible to operators — exactly the drift ISSUE 9's
-new advisory kinds (``MbrMigrate``, ``LoadShed``, ``Backpressure``)
-could have introduced silently.  These tests fail the build when:
+one of them is invisible to operators — exactly the drift that new
+advisory kinds (such as ``LoadShed`` and ``Backpressure``) could
+introduce silently.  These tests fail the build when:
 
 * a registered payload (or its wire kind) is absent from the
   ``repro protocol`` table or JSON dump;

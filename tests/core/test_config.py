@@ -1,5 +1,9 @@
 """Unit tests for configuration (Table I and middleware knobs)."""
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
 
 from repro.core import TABLE_I, MiddlewareConfig, WorkloadConfig
@@ -63,6 +67,9 @@ def test_middleware_validation():
         MiddlewareConfig(k=0)
     with pytest.raises(ValueError):
         MiddlewareConfig(k=128, window_size=128)
+    with pytest.raises(ValueError):
+        MiddlewareConfig(hop_delay_ms=-5.0)  # would fail at the first hop
+    assert MiddlewareConfig(hop_delay_ms=0.0).hop_delay_ms == 0.0
 
 
 def test_with_creates_modified_copy():
@@ -78,3 +85,19 @@ def test_config_is_frozen():
     cfg = MiddlewareConfig()
     with pytest.raises(Exception):
         cfg.m = 16  # type: ignore[misc]
+
+
+def _knob_rows():
+    """Field names in the first table of KNOBS.md (one row per knob)."""
+    text = (pathlib.Path(__file__).resolve().parents[2] / "KNOBS.md").read_text()
+    section = text.split("\n## ")[1]
+    return re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+
+
+def test_knobs_ledger_has_one_row_per_config_field():
+    """A new config field must add its row (setters and verdict) to KNOBS.md."""
+    rows = _knob_rows()
+    assert len(rows) == len(set(rows)), "duplicate rows in KNOBS.md"
+    fields = {f.name for f in dataclasses.fields(MiddlewareConfig)}
+    fields |= {f.name for f in dataclasses.fields(WorkloadConfig)}
+    assert set(rows) == fields

@@ -32,7 +32,6 @@ from repro.core.protocol import (
     LoadShed,
     LocateReply,
     LocateRequest,
-    MbrMigrate,
     MbrPublish,
     RegisterStream,
     ReplicaAck,
@@ -145,14 +144,6 @@ PAYLOAD_FACTORIES = {
         low_key=peer.node_id,
         high_key=peer.node_id,
         expires_ms=5_000.0,
-    ),
-    MbrMigrate: lambda app, peer: MbrMigrate(
-        mbr=MBR.of_point(np.array([0.5, 0.5]), stream_id="sX"),
-        source_id=peer.node_id,
-        low_key=app.node_id,
-        high_key=app.node_id,
-        lifespan_ms=5_000.0,
-        epoch=1,
     ),
     LoadShed: lambda app, peer: LoadShed(
         holder_id=peer.node_id,

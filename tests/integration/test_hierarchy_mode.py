@@ -48,6 +48,14 @@ def test_hierarchy_index_built_when_enabled():
     assert disabled.hierarchy_index is None
 
 
+def test_hierarchy_runs_with_its_fixed_cluster_size_and_margin():
+    """4-node bottom clusters and a 0.02 level-0 margin, not the 0.01
+    ``HierarchicalIndex`` default: no config field sets either."""
+    system = warm(n=8)
+    assert system.hierarchy_index.hierarchy.cluster_size == 4
+    assert system.hierarchy_index.base_margin == 0.02
+
+
 def test_summaries_reach_the_hierarchy_root():
     system = warm(n=16, seed=62)
     root = system.hierarchy_index.hierarchy.root

@@ -1,8 +1,11 @@
 """Unit tests for DFT machinery: unitarity, truncation, sliding update."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.sim.rng import RngRegistry
 from repro.streams import (
     SlidingDFT,
     reconstruct_from_coefficients,
@@ -162,3 +165,33 @@ def test_coefficients_property_is_copy():
     c = sd.coefficients
     c[0] = 999.0
     assert sd.coefficients[0] != 999.0
+
+
+def test_incremental_tracks_full_fft():
+    """After many updates the incremental coefficients match a fresh FFT."""
+    n, k, steps = 16, 4, 500
+    rng = RngRegistry(seed=99).get("vs-fft")
+    window = list(rng.standard_normal(n))
+    dft = SlidingDFT(n, k, refresh_every=None)
+    dft.initialize(np.asarray(window))
+    for _ in range(steps):
+        new = float(rng.standard_normal())
+        old = window.pop(0)
+        window.append(new)
+        dft.update(new, old)
+    expect = np.fft.fft(np.asarray(window))[:k] / np.sqrt(n)
+    for a, b in zip(dft.coefficients, expect):
+        assert math.isclose(a.real, b.real, rel_tol=1e-7, abs_tol=1e-7)
+        assert math.isclose(a.imag, b.imag, rel_tol=1e-7, abs_tol=1e-7)
+
+
+def test_peek_returns_live_view_and_coefficients_a_copy():
+    n, k = 16, 4
+    rng = RngRegistry(seed=99).get("views")
+    dft = SlidingDFT(n, k, refresh_every=None)
+    dft.initialize(rng.standard_normal(n))
+    live = dft.peek()
+    copied = dft.coefficients
+    dft.update(1.0, 0.5)
+    assert np.array_equal(live, dft.peek())  # same storage
+    assert not np.array_equal(copied, dft.coefficients)  # snapshot
