@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable registry dump (kind, fields, dedup/ack/"
-        "sender metadata) — the wire-schema pin for net/wire.py",
+        help="machine-readable registry dump (kind, fields, field codecs, "
+        "dedup/ack/sender metadata) — the wire-schema pin for net/wire.py",
     )
 
     flow = sub.add_parser(
@@ -656,14 +656,18 @@ def protocol_registry_dump() -> list:
 
     The machine-readable twin of the ``repro protocol`` table: one row
     per payload with its class name, accounting kind, dataclass field
-    names in wire order, and delivery/flow metadata.  ``net/wire.py``
-    derives its codec table from the same registry, and a test pins the
-    two against each other, so this dump doubles as the wire-schema pin.
+    names in wire order, each field's binary codec (``"i64"``,
+    ``"mbr"``, ``"dict[i64,list[tuple[str,f64]]]"``, ...), and
+    delivery/flow metadata.  ``net/wire.py`` derives its codec table
+    from the same registry, so this dump doubles as the wire-schema pin.
     """
     import dataclasses as _dc
 
     from .core.protocol import registry_items
     from .core.runtime import DEFAULT_SERVICES
+    from .net.wire import codec_table
+
+    codecs = codec_table()
 
     handler_of = {}
     for service_cls in DEFAULT_SERVICES:
@@ -682,6 +686,7 @@ def protocol_registry_dump() -> list:
                 "payload": payload_type.__name__,
                 "kind": spec.kind,
                 "fields": [f.name for f in _dc.fields(payload_type)],
+                "codecs": list(codecs[payload_type.__name__].codecs),
                 "dedup": spec.dedup,
                 "ack_on_delivery": spec.ack_on_delivery,
                 "ack_kinds": sorted(spec.ack_kinds),

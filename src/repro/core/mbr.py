@@ -65,6 +65,11 @@ class MBR:
         self.created = created
 
     @property
+    def bounds(self) -> np.ndarray:
+        """The ``(2, d)`` array ``[low, high]`` itself (writes go through)."""
+        return self._bounds
+
+    @property
     def low(self) -> np.ndarray:
         """Per-dimension lower bounds (a view; writes go through)."""
         return self._bounds[0]
@@ -99,6 +104,35 @@ class MBR:
         """A degenerate MBR covering a single feature vector."""
         p = np.asarray(point, dtype=np.float64)
         return cls(low=p, high=p, stream_id=stream_id, count=1, created=created)
+
+    @classmethod
+    def from_bounds(
+        cls,
+        bounds: np.ndarray,
+        stream_id: str = "",
+        count: int = 0,
+        created: float = 0.0,
+    ) -> "MBR":
+        """Adopt a ``(2, d)`` float64 array as ``[low, high]``, uncopied.
+
+        For a caller that already holds a private bounds array (the wire
+        decoder): the same ``low <= high`` check as the constructor, in
+        the same float64 arithmetic, without its two row copies.  The
+        check runs on Python floats, which beats four numpy calls at the
+        handful of dimensions a feature vector has.
+        """
+        if bounds.dtype != np.float64 or bounds.ndim != 2 or bounds.shape[0] != 2:
+            raise ValueError("bounds must be a (2, d) float64 array")
+        low, high = bounds.tolist()
+        for lo, hi in zip(low, high):
+            if lo > hi + 1e-12:
+                raise ValueError("MBR requires low <= high in every dimension")
+        box = cls.__new__(cls)
+        box._bounds = bounds
+        box.stream_id = stream_id
+        box.count = count
+        box.created = created
+        return box
 
     @property
     def dimensions(self) -> int:

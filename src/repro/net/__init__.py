@@ -9,14 +9,15 @@ implementations exist:
 * :class:`~repro.net.transport.SimTransport` — adapts the discrete-event
   :class:`~repro.sim.network.Network` + :class:`~repro.sim.engine.Simulator`
   pair; fully deterministic, used by every experiment and test.
-* :class:`~repro.net.peer.AsyncioTransport` — real length-prefixed frames
-  over TCP sockets between OS processes (:mod:`repro.net.peer`); wall
-  clock, event-loop timers, one-hop routing over a full-membership ring
-  mirror.
+* :class:`~repro.net.peer.AsyncioTransport` — real frames over TCP
+  sockets between OS processes (:mod:`repro.net.peer`); wall clock,
+  event-loop timers, one-hop routing over a full-membership ring
+  mirror, one coalescing writer per destination.
 
-:mod:`repro.net.wire` derives the wire format for every ``@payload``
+:mod:`repro.net.wire` generates a binary codec for every ``@payload``
 dataclass from the protocol registry, so sim dispatch and the socket
-format share one source of truth (DESIGN.md §12).
+format share one source of truth (DESIGN.md §12); only membership and
+client-RPC control frames are JSON.
 
 This package is the only place in the tree allowed to import ``socket``,
 ``asyncio`` or ``threading`` (simlint rule D012).

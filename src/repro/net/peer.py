@@ -3,8 +3,8 @@
 ``python -m repro node --listen host:port [--join host:port]`` boots one
 :class:`PeerNode` — an unchanged :class:`~repro.core.middleware
 .StreamIndexNode` (dispatch, reliability, all four Fig. 5 role services)
-whose :class:`AsyncioTransport` speaks length-prefixed JSON frames
-(:mod:`repro.net.wire`) over TCP instead of simulated hops.
+whose :class:`AsyncioTransport` sends each overlay message as one
+binary frame (:mod:`repro.net.wire`) over TCP instead of simulated hops.
 
 Architecture (DESIGN.md §12):
 
@@ -20,6 +20,16 @@ Architecture (DESIGN.md §12):
   ``peer-joined``; a departing peer broadcasts ``leave`` on SIGINT /
   SIGTERM.  Adequate for a LAN-scale cluster demo, deliberately simpler
   than the sim's stabilizer.
+* **One writer per destination.**  Frames to a peer queue in that
+  peer's bounded buffer (:data:`SEND_BUFFER_BYTES`) and one task per
+  destination writes everything queued since it last ran — all the
+  frames of one event-loop turn — in a single ``write``.  A neighbour
+  that stops reading holds up only its own buffer: its connect and
+  drain are bounded (:data:`CONNECT_TIMEOUT_S`, :data:`DRAIN_TIMEOUT_S`)
+  and what overflows or is given up is counted in ``dropped_frames``.
+  That is the lossy fabric the protocol already assumes (DESIGN.md §6):
+  the reliable layer retransmits, soft state is refreshed or expires
+  and is re-published.
 * **Clients are not ring members.**  ``python -m repro client`` opens a
   short-lived connection and speaks the RPC frames (``publish``,
   ``query``, ``results``, ``status``) handled at the bottom of this
@@ -57,10 +67,37 @@ __all__ = ["AsyncioTransport", "PeerNode", "PeerSystem", "run_node", "request"]
 
 Addr = Tuple[str, int]
 
-#: Seconds a TCP connect may take before it is abandoned.  The sender is
-#: one serial task, so without a bound a single blackholed neighbour
-#: would stall all egress for the OS connect timeout.
+#: Seconds a TCP connect may take before it is abandoned, so a
+#: blackholed neighbour costs its queued frames, not the OS timeout.
 CONNECT_TIMEOUT_S = 5.0
+
+#: Seconds a write may wait for a neighbour to take it (``drain``)
+#: before the connection is given up as stalled and aborted.
+DRAIN_TIMEOUT_S = 5.0
+
+#: Bytes of frames one destination may have queued behind its writer
+#: task; a frame that does not fit is dropped and counted.
+SEND_BUFFER_BYTES = 4 * 1024 * 1024
+
+
+class _Link:
+    """The send side of one destination: a frame buffer and its writer.
+
+    ``ready`` is set while frames wait; ``idle`` is set while nothing is
+    queued or being written (what a graceful stop waits for).
+    """
+
+    __slots__ = ("addr", "frames", "size", "ready", "idle", "task", "writer")
+
+    def __init__(self, addr: Addr) -> None:
+        self.addr = addr
+        self.frames: List[bytes] = []
+        self.size = 0
+        self.ready = asyncio.Event()
+        self.idle = asyncio.Event()
+        self.idle.set()
+        self.task: Optional[asyncio.Task] = None
+        self.writer: Optional[asyncio.StreamWriter] = None
 
 
 class _MeshOverlay:
@@ -254,27 +291,35 @@ class PeerNode:
         self.host = host
         self.port = port
         self.config = config if config is not None else MiddlewareConfig()
+        if self.config.m > 63:
+            raise ValueError(
+                f"m={self.config.m}: the wire carries ring identifiers as int64, "
+                "so a socket peer needs m <= 63"
+            )
         self.ring = ChordRing(m=self.config.m)
         self.node = self.ring.create_node(name)
         self.ring.build(self.config.successor_list_len)
         #: member name -> (host, port); always includes ourselves
         self.members: Dict[str, Addr] = {name: (host, port)}
         self._node_by_name: Dict[str, ChordNode] = {name: self.node}
+        #: ring identifier -> address, for every member
+        self._addr_of: Dict[int, Addr] = {self.node.node_id: (host, port)}
         self.transport = AsyncioTransport(self)
         self.system = PeerSystem(self, seed=seed)
         self.app = StreamIndexNode(self.node, self.system)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Dict[Addr, asyncio.StreamWriter] = {}
-        self._conn_tasks: set = set()
-        self._outbox: "asyncio.Queue[Tuple[Addr, bytes]]" = asyncio.Queue()
-        self._sender_task: Optional[asyncio.Task] = None
+        self._links: Dict[Addr, _Link] = {}
+        #: every connection-serving and link-writer task still running
+        self._tasks: set = set()
         self._tick_handle = None
         self._refresh_handle = None
         self._stopping = asyncio.Event()
         self._stream_feed: Dict[str, Deque[float]] = {}
-        #: well-framed frames dropped for a missing key or a wrong type
+        #: well-framed frames dropped as undecodable or malformed
         self.bad_frames = 0
+        #: outgoing frames given up: buffer overflow, failed connect or drain
+        self.dropped_frames = 0
         self.log: Callable[[str], None] = lambda line: print(
             line, file=sys.stderr, flush=True
         )
@@ -287,10 +332,7 @@ class PeerNode:
         return self._loop
 
     def member_addr(self, node_id: int) -> Optional[Addr]:
-        for name, node in self._node_by_name.items():
-            if node.node_id == node_id:
-                return self.members.get(name)
-        return None
+        return self._addr_of.get(node_id)
 
     # ------------------------------------------------------------------
     # membership
@@ -305,6 +347,7 @@ class PeerNode:
                 changed = True
             if name not in self._node_by_name:
                 self._node_by_name[name] = self.ring.create_node(name)
+            self._addr_of[self._node_by_name[name].node_id] = addr
         if changed or len(self._node_by_name) != len(self.ring):
             self.ring.build(self.config.successor_list_len)
 
@@ -313,11 +356,12 @@ class PeerNode:
             return
         addr = self.members.pop(name)
         node = self._node_by_name.pop(name)
+        del self._addr_of[node.node_id]
         self.ring.remove(node)
         self.ring.build(self.config.successor_list_len)
-        writer = self._writers.pop(addr, None)
-        if writer is not None:
-            writer.close()
+        link = self._links.pop(addr, None)
+        if link is not None:
+            link.task.cancel()  # its finally closes the connection
         self.log(f"[{self.name}] member {name} left ({len(self.members)} remain)")
 
     def _member_rows(self) -> List[List[Any]]:
@@ -336,41 +380,72 @@ class PeerNode:
     # egress
     # ------------------------------------------------------------------
     def send_control(self, addr: Addr, obj: Dict[str, Any]) -> None:
-        self._outbox.put_nowait((addr, wire.encode_frame(obj)))
+        self._queue(addr, wire.encode_frame(obj))
 
     def send_message(self, dst: ChordNode, msg: Message) -> None:
-        addr = self.member_addr(dst.node_id)
+        addr = self._addr_of.get(dst.node_id)
         if addr is None:
             self.log(f"[{self.name}] no address for node {dst.node_id}; dropped")
             return
-        frame = wire.encode_frame({"t": "msg", "m": wire.encode_message(msg)})
-        self._outbox.put_nowait((addr, frame))
+        self._queue(addr, wire.encode_frame(wire.encode_message(msg)))
 
-    async def _writer_for(self, addr: Addr) -> asyncio.StreamWriter:
-        writer = self._writers.get(addr)
-        if writer is not None and not writer.is_closing():
-            return writer
-        _reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(*addr), CONNECT_TIMEOUT_S
-        )
-        self._writers[addr] = writer
-        return writer
+    def _queue(self, addr: Addr, frame: bytes) -> None:
+        link = self._links.get(addr)
+        if link is None:
+            link = self._links[addr] = _Link(addr)
+            link.task = self.loop.create_task(
+                self._run_link(link), name=f"{self.name} -> {addr[0]}:{addr[1]}"
+            )
+            self._tasks.add(link.task)
+            link.task.add_done_callback(self._tasks.discard)
+        if link.size + len(frame) > SEND_BUFFER_BYTES:
+            self.dropped_frames += 1
+            return
+        link.frames.append(frame)
+        link.size += len(frame)
+        link.idle.clear()
+        link.ready.set()
 
-    async def _sender_loop(self) -> None:
-        while True:
-            addr, data = await self._outbox.get()
-            try:
-                writer = await self._writer_for(addr)
-                writer.write(data)
-                await writer.drain()
-            except (OSError, asyncio.TimeoutError) as exc:
-                # lossy fabric semantics: the reliable layer retries,
-                # soft-state refresh heals the rest (a connect timeout
-                # is not an OSError before Python 3.11)
-                self._writers.pop(addr, None)
-                self.log(f"[{self.name}] send to {addr} failed: {exc!r}")
-            finally:
-                self._outbox.task_done()
+    async def _run_link(self, link: _Link) -> None:
+        """Writer task of one destination: one ``write`` per wake-up."""
+        try:
+            while True:
+                await link.ready.wait()
+                link.ready.clear()
+                batch, link.frames, link.size = link.frames, [], 0
+                try:
+                    await self._write(link, b"".join(batch))
+                except (OSError, asyncio.TimeoutError) as exc:
+                    # lossy fabric semantics: the reliable layer retries,
+                    # soft-state refresh heals the rest (a timeout is not
+                    # an OSError before Python 3.11)
+                    self.dropped_frames += len(batch)
+                    if link.writer is not None:
+                        link.writer.transport.abort()
+                        link.writer = None
+                    self.log(f"[{self.name}] send to {link.addr} failed: {exc!r}")
+                if not link.frames:
+                    link.idle.set()
+        finally:
+            if link.writer is not None:
+                if link.writer.transport.get_write_buffer_size():
+                    link.writer.transport.abort()  # a stalled reader
+                else:
+                    link.writer.close()
+
+    async def _write(self, link: _Link, data: bytes) -> None:
+        writer = link.writer
+        if writer is None or writer.is_closing():
+            _reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(*link.addr), CONNECT_TIMEOUT_S
+            )
+            link.writer = writer
+        writer.write(data)
+        # drain() returns at once below the high-water mark; only wrap it
+        # in a timeout (a task per call before Python 3.12) above it
+        transport = writer.transport
+        if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
+            await asyncio.wait_for(writer.drain(), DRAIN_TIMEOUT_S)
 
     # ------------------------------------------------------------------
     # ingress
@@ -381,16 +456,16 @@ class PeerNode:
         decoder = wire.FrameDecoder()
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
                     return
-                for obj in decoder.feed(data):
+                for frame in decoder.feed(data):
                     try:
-                        self._on_frame(obj, writer)
+                        self._on_frame(frame, writer)
                     except (KeyError, TypeError, AttributeError, ValueError) as exc:
                         # a valid frame with garbage content: drop it,
                         # keep the connection (WireError is a ValueError)
@@ -403,11 +478,13 @@ class PeerNode:
         finally:
             writer.close()
 
-    def _on_frame(self, obj: Dict[str, Any], writer: asyncio.StreamWriter) -> None:
+    def _on_frame(self, frame: wire.Frame, writer: asyncio.StreamWriter) -> None:
+        if isinstance(frame, bytes):
+            self.transport.deliver_local(wire.decode_message(frame))
+            return
+        obj = frame
         kind = obj.get("t")
-        if kind == "msg":
-            self.transport.deliver_local(wire.decode_message(obj["m"]))
-        elif kind == "join":
+        if kind == "join":
             newcomer = obj["name"]
             self._adopt_members([[newcomer, obj["host"], obj["port"]]])
             self.log(f"[{self.name}] {newcomer} joined ({len(self.members)} members)")
@@ -424,7 +501,7 @@ class PeerNode:
         elif kind in ("publish", "query", "results", "status"):
             writer.write(wire.encode_frame(self._client_rpc(kind, obj)))
         else:
-            self.log(f"[{self.name}] unknown frame type {kind!r}")
+            raise wire.WireError(f"unknown control frame type {kind!r}")
 
     # ------------------------------------------------------------------
     # client RPC surface
@@ -469,6 +546,7 @@ class PeerNode:
                 "held": sorted(self.app.index._mbrs.keys()),
                 "streams": sorted(self.app.sources.keys()),
                 "bad_frames": self.bad_frames,
+                "dropped_frames": self.dropped_frames,
             }
         except Exception as exc:  # RPC errors go back to the client
             return {"t": "error", "error": f"{type(exc).__name__}: {exc}"}
@@ -499,7 +577,7 @@ class PeerNode:
         bound = self._server.sockets[0].getsockname()
         self.port = bound[1]
         self.members[self.name] = (self.host, self.port)
-        self._sender_task = self.loop.create_task(self._sender_loop())
+        self._addr_of[self.node.node_id] = (self.host, self.port)
         if join is not None:
             await self._join_cluster(join)
         self._tick_handle = self.loop.call_later(
@@ -548,20 +626,19 @@ class PeerNode:
         if announce and len(self.members) > 1:
             self._broadcast({"t": "leave", "name": self.name})
             with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._outbox.join(), timeout=0.1)
+                await asyncio.wait_for(
+                    asyncio.gather(*(link.idle.wait() for link in self._links.values())),
+                    timeout=0.1,
+                )
             await asyncio.sleep(0.05)  # let writes flush
         for handle in (self._tick_handle, self._refresh_handle):
             if handle is not None:
                 handle.cancel()
-        if self._sender_task is not None:
-            self._sender_task.cancel()
-        for task in list(self._conn_tasks):
+        self._links.clear()
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
+        await asyncio.gather(*tasks, return_exceptions=True)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

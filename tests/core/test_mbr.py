@@ -17,6 +17,23 @@ def test_validation():
         box([1.0], [0.0])
 
 
+def test_from_bounds_adopts_the_array_and_checks_like_the_constructor():
+    bounds = np.array([[0.0, 1.0], [1.0, 1.0 + 5e-13]])
+    m = MBR.from_bounds(bounds, stream_id="s", count=2, created=3.0)
+    assert m.bounds is bounds and m == box([0.0, 1.0], [1.0, 1.0 + 5e-13], stream_id="s",
+                                           count=2, created=3.0)
+    m.extend(np.array([2.0, 0.5]))  # writes through to the adopted array
+    assert bounds.tolist() == [[0.0, 0.5], [2.0, 1.0 + 5e-13]]
+    # the constructor's tolerance: low may exceed high by at most 1e-12
+    MBR.from_bounds(np.array([[1.0 + 5e-13], [1.0]]))
+    with pytest.raises(ValueError):
+        MBR.from_bounds(np.array([[1.0], [0.0]]))
+    with pytest.raises(ValueError):
+        MBR.from_bounds(np.zeros((2, 2), dtype=np.float32))
+    with pytest.raises(ValueError):
+        MBR.from_bounds(np.zeros((3, 2)))
+
+
 def test_of_point_degenerate():
     m = MBR.of_point(np.array([0.3, -0.2]), stream_id="s", created=5.0)
     assert m.count == 1

@@ -17,12 +17,17 @@ own.
 
 import asyncio
 import math
+import socket
 
 from repro.core import MiddlewareConfig, StreamIndexSystem, WorkloadConfig
 from repro.core.queries import SimilarityQuery
 from repro.net import peer as peer_module
 from repro.net import wire
 from repro.net.peer import PeerNode
+
+from .frames import malformed_bodies
+
+BAD_BODIES = malformed_bodies()
 
 N_NODES = 3
 SEED = 0
@@ -151,9 +156,12 @@ def test_garbage_frames_are_dropped_and_connection_keeps_serving():
         await peer.start(None)
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1", peer.port)
-            # well-framed, but missing every key the handlers index
+            # well-framed, but an unknown type / missing every key
             writer.write(wire.encode_frame({"t": "msg"}))
             writer.write(wire.encode_frame({"t": "join"}))
+            # well-framed message frames whose binary body is garbage
+            for body in BAD_BODIES.values():
+                writer.write(wire.encode_frame(body))
             writer.write(wire.encode_frame({"t": "status"}))
             await writer.drain()
             decoder = wire.FrameDecoder()
@@ -169,7 +177,7 @@ def test_garbage_frames_are_dropped_and_connection_keeps_serving():
 
     status = asyncio.run(scenario())
     assert status["t"] == "status" and status["name"] == "dc-0"
-    assert status["bad_frames"] == 2
+    assert status["bad_frames"] == 2 + len(BAD_BODIES)
 
 
 def test_blackholed_connect_does_not_stall_egress(monkeypatch):
@@ -210,3 +218,105 @@ def test_blackholed_connect_does_not_stall_egress(monkeypatch):
             await server.wait_closed()
 
     assert asyncio.run(scenario()) == {"t": "status", "marker": 1}
+
+
+def test_slow_neighbour_stalls_only_its_own_buffer(monkeypatch):
+    """A destination that accepts and never reads costs only its frames."""
+    monkeypatch.setattr(peer_module, "SEND_BUFFER_BYTES", 256 * 1024)
+    monkeypatch.setattr(peer_module, "DRAIN_TIMEOUT_S", 30.0)
+
+    async def scenario():
+        # the kernel completes the handshake; nobody ever accepts or reads
+        stalled_sock = socket.socket()
+        stalled_sock.bind(("127.0.0.1", 0))
+        stalled_sock.listen(1)
+        stalled = stalled_sock.getsockname()
+        received = asyncio.Queue()
+
+        async def sink(reader, writer):
+            decoder = wire.FrameDecoder()
+            while data := await reader.read(65536):
+                for frame in decoder.feed(data):
+                    received.put_nowait(frame)
+            writer.close()
+
+        server = await asyncio.start_server(sink, "127.0.0.1", 0)
+        healthy = ("127.0.0.1", server.sockets[0].getsockname()[1])
+        peer = PeerNode("dc-0", "127.0.0.1", 0, make_config())
+        peer.log = lambda line: None
+        await peer.start(None)
+        try:
+            pad = "x" * 65536
+            sent = 0
+            while peer.dropped_frames == 0 and sent < 2000:
+                peer.send_control(stalled, {"t": "status", "pad": pad})
+                sent += 1
+                await asyncio.sleep(0.001)  # the writer takes each frame
+            dropped = peer.dropped_frames
+            # more than the 4 frames the buffer holds: the writer moved
+            # some into the kernel's socket buffers before it stalled
+            assert dropped > 0 and sent > 4, f"{dropped} dropped of {sent}"
+
+            for marker in range(3):
+                peer.send_control(healthy, {"t": "status", "marker": marker})
+                frame = await asyncio.wait_for(received.get(), timeout=2.0)
+                assert frame == {"t": "status", "marker": marker}
+            assert peer.dropped_frames == dropped  # nothing healthy was lost
+
+            reader, writer = await asyncio.open_connection("127.0.0.1", peer.port)
+            writer.write(wire.encode_frame({"t": "status"}))
+            decoder = wire.FrameDecoder()
+            replies = []
+            while not replies:
+                data = await asyncio.wait_for(reader.read(65536), timeout=5.0)
+                assert data, "peer closed the connection"
+                replies.extend(decoder.feed(data))
+            writer.close()
+            assert replies[0]["dropped_frames"] == dropped
+        finally:
+            await peer.stop()
+            server.close()
+            await server.wait_closed()
+            stalled_sock.close()
+        # the healthy sink's handler ends on EOF; the peer leaves nothing
+        for _ in range(100):
+            left = asyncio.all_tasks() - {asyncio.current_task()}
+            if not left:
+                break
+            await asyncio.sleep(0.02)
+        return left
+
+    assert asyncio.run(scenario()) == set()
+
+
+def test_drain_timeout_gives_up_a_stalled_connection(monkeypatch):
+    """A write that cannot drain is dropped, counted and its socket aborted."""
+    monkeypatch.setattr(peer_module, "DRAIN_TIMEOUT_S", 0.2)
+
+    async def scenario():
+        stalled_sock = socket.socket()
+        stalled_sock.bind(("127.0.0.1", 0))
+        stalled_sock.listen(1)
+        stalled = stalled_sock.getsockname()
+        peer = PeerNode("dc-0", "127.0.0.1", 0, make_config())
+        lines = []
+        peer.log = lines.append
+        await peer.start(None)
+        try:
+            pad = "x" * 65536
+            for _ in range(400):  # far more than the kernel's socket buffers
+                peer.send_control(stalled, {"t": "status", "pad": pad})
+                await asyncio.sleep(0.001)
+                if peer._links[stalled].frames:
+                    break  # the writer did not take it: blocked in drain
+            assert peer._links[stalled].frames and peer.dropped_frames == 0
+            stuck = peer._links[stalled].writer
+            await asyncio.sleep(0.5)
+            return peer.dropped_frames, stuck.transport.is_closing(), lines
+        finally:
+            await peer.stop()
+            stalled_sock.close()
+
+    dropped, aborted, lines = asyncio.run(scenario())
+    assert dropped > 0 and aborted  # the next frame opens a new connection
+    assert any("failed" in line and "TimeoutError" in line for line in lines)

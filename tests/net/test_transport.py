@@ -105,6 +105,17 @@ def test_protocol_dump_matches_wire_codec_table():
     for tag, entry in table.items():
         assert rows[tag]["kind"] == entry.kind
         assert tuple(rows[tag]["fields"]) == entry.fields
+        assert tuple(rows[tag]["codecs"]) == entry.codecs
+        assert len(entry.codecs) == len(entry.fields)
+    # the binary layout itself: changing one of these is a WIRE_VERSION bump
+    assert rows["MbrPublish"]["codecs"] == ["mbr", "i64", "i64", "i64", "f64", "i64"]
+    assert rows["SimilarityReport"]["codecs"] == [
+        "i64", "i64", "dict[i64,list[tuple[str,f64]]]", "dict[str,f64]", "i64"
+    ]
+    assert rows["LocateRequest"]["codecs"][0] == (
+        "InnerProductQuery(str,ndarray,ndarray,f64,i64)"
+    )
+    assert rows["Ack"]["codecs"] == ["i64", "i64", "str"]
 
 
 def test_protocol_json_cli_is_machine_readable(capsys):
