@@ -4,14 +4,14 @@ Two halves, one contract (DESIGN.md §7):
 
 * :mod:`repro.analysis.linter` — **simlint**, an AST-based linter that
   machine-checks the determinism and protocol conventions the
-  reproduction's headline guarantees rest on: all randomness flows
-  through :class:`~repro.sim.rng.RngRegistry` substreams (D001), no
-  wall-clock reads inside the simulated world (D002), no hash-order
-  iteration in scheduling-adjacent code (D003), no float ``==`` in
-  routing/index math (D004), no message kinds outside the
-  :data:`~repro.core.protocol.KNOWN_KINDS` accounting registry (D005),
-  no mutable defaults on payload dataclasses (D006), and the payload
-  registry / ``@handles`` dispatch kept provably in sync (D007).
+  reproduction's headline guarantees rest on, as rules D001–D014
+  (:mod:`repro.analysis.rules`, DESIGN.md §7): randomness, wall clocks,
+  perf timers, processes, raw sends, network primitives and mapping
+  writes stay in their sanctioned homes; no hash-order iteration, float
+  ``==``, unregistered message kinds, shared mutable defaults,
+  registry / ``@handles`` drift, swallowed exceptions or unbounded
+  per-node dicts.  **simflow** (:mod:`repro.analysis.flow`, DESIGN.md
+  §11) checks the protocol across files as rules F001–F005.
 
 * :mod:`repro.analysis.invariants` — assertable runtime predicates for
   Chord ring health, index-state placement, message conservation and
@@ -19,11 +19,11 @@ Two halves, one contract (DESIGN.md §7):
   / :func:`assert_invariants`, the ``--check-invariants`` CLI flag and
   a pytest fixture.
 
-Run the linter with ``python -m repro lint [paths]``.
+Run them with ``python -m repro lint [paths]`` and ``python -m repro
+flow [paths]``; both exit 1 on any finding.
 """
 
-from .baseline import load_baseline, split_baselined, stale_entries, write_baseline
-from .findings import Finding, fingerprint, format_finding
+from .findings import Finding, format_finding
 from .flow import (
     FLOW_RULES,
     analyze_flow,
@@ -54,15 +54,10 @@ from .rules import RULES, all_rule_codes
 
 __all__ = [
     "Finding",
-    "fingerprint",
     "format_finding",
     "lint_paths",
     "RULES",
     "all_rule_codes",
-    "load_baseline",
-    "write_baseline",
-    "split_baselined",
-    "stale_entries",
     "FLOW_RULES",
     "analyze_flow",
     "build_flow_graph",

@@ -1,19 +1,13 @@
-"""Finding records produced by the simlint rules.
+"""Finding records produced by simlint and simflow.
 
-A finding pins a rule violation to a file and line.  Its *fingerprint*
-deliberately ignores the line **number** (only the stripped line text
-participates), so baselines survive unrelated edits above a
-grandfathered finding; moving or rewriting the offending line retires
-the baseline entry and resurfaces the finding.
+A finding pins a rule violation to a file and line.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
-__all__ = ["Finding", "fingerprint", "format_finding"]
+__all__ = ["Finding", "format_finding"]
 
 
 @dataclass(frozen=True)
@@ -30,8 +24,6 @@ class Finding:
         1-based line and 0-based column of the flagged AST node.
     message:
         Human-readable explanation of the violation.
-    line_text:
-        The stripped source line, used for baseline fingerprints.
     """
 
     rule: str
@@ -39,28 +31,6 @@ class Finding:
     line: int
     col: int
     message: str
-    line_text: str = ""
-
-
-def _normalized_path(path: str) -> str:
-    """``path`` relative to the current directory, in posix form.
-
-    Fingerprints must be stable between machines and CI, so absolute
-    prefixes are stripped whenever the file lies under the working
-    directory (the normal case: ``python -m repro lint src`` from the
-    repository root).
-    """
-    p = Path(path)
-    try:
-        p = p.resolve().relative_to(Path(os.getcwd()).resolve())
-    except ValueError:
-        pass
-    return p.as_posix()
-
-
-def fingerprint(finding: Finding) -> str:
-    """Line-number-independent identity of a finding, for baselines."""
-    return f"{_normalized_path(finding.path)}::{finding.rule}::{finding.line_text}"
 
 
 def format_finding(finding: Finding) -> str:

@@ -1,6 +1,6 @@
 """simflow: whole-program static protocol-flow analysis (DESIGN.md §11).
 
-simlint (D001–D011) checks one file at a time; this module parses every
+simlint (D001–D014) checks one file at a time; this module parses every
 module of the package *once* and checks the protocol as a whole.  Three
 extraction passes feed a :class:`~repro.analysis.flowgraph.
 MessageFlowGraph`:
@@ -36,8 +36,10 @@ F005  no payload field is assigned after construction on a send path
       (a local that is both constructed and sent in one function)
 ====  ==============================================================
 
-Findings flow through the shared :class:`~repro.analysis.findings.
-Finding` / baseline machinery; run via ``python -m repro flow``.
+Findings are the linter's :class:`~repro.analysis.findings.Finding`
+records, and files are read and parsed by the linter's
+:func:`~repro.analysis.linter.parse_file`; ``python -m repro flow``
+prints the graph and exits 1 on any finding.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from .flowgraph import (
     PayloadDecl,
     SendSite,
 )
-from .linter import collect_files
+from .linter import collect_files, parse_file
+from .rules import str_constants
 
 __all__ = [
     "FLOW_RULES",
@@ -120,21 +123,6 @@ def _const_str_tuple(
     return tuple(out)
 
 
-def _module_str_consts(tree: ast.Module) -> Dict[str, str]:
-    """Module-level ``NAME = "literal"`` bindings (e.g. RUNTIME_ROLE)."""
-    out: Dict[str, str] = {}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-        ):
-            out[node.targets[0].id] = node.value.value
-    return out
-
-
 def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
     """The plain class name of a ``x: P`` / ``x: "P"`` annotation."""
     if isinstance(node, ast.Name):
@@ -159,12 +147,6 @@ def _dict_value_annotation(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
-def _line_text(source_lines: Sequence[str], line: int) -> str:
-    if 1 <= line <= len(source_lines):
-        return source_lines[line - 1].strip()
-    return ""
-
-
 # ----------------------------------------------------------------------
 # pass 1: KIND maps + payload declarations
 # ----------------------------------------------------------------------
@@ -172,17 +154,8 @@ def _collect_kind_map(tree: ast.Module) -> Dict[str, str]:
     """``ATTR -> value`` for every ``class KIND`` constant in a module."""
     out: Dict[str, str] = {}
     for node in tree.body:
-        if not (isinstance(node, ast.ClassDef) and node.name == "KIND"):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                out[stmt.targets[0].id] = stmt.value.value
+        if isinstance(node, ast.ClassDef) and node.name == "KIND":
+            out.update(str_constants(node.body))
     return out
 
 
@@ -198,12 +171,9 @@ def _payload_decorator(node: ast.ClassDef) -> Optional[ast.Call]:
 
 
 def _collect_payload_decls(
-    path: str,
-    tree: ast.Module,
-    source_lines: Sequence[str],
-    kind_map: Dict[str, str],
+    path: str, tree: ast.Module, kind_map: Dict[str, str]
 ) -> List[PayloadDecl]:
-    consts = _module_str_consts(tree)
+    consts = str_constants(tree.body)
     out: List[PayloadDecl] = []
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -249,7 +219,6 @@ def _collect_payload_decls(
                 flow=flow,
                 path=path,
                 line=node.lineno,
-                line_text=_line_text(source_lines, node.lineno),
             )
         )
     return out
@@ -258,37 +227,6 @@ def _collect_payload_decls(
 # ----------------------------------------------------------------------
 # pass 2/3: roles, handlers, send sites with constant propagation
 # ----------------------------------------------------------------------
-def _module_flow_role(tree: ast.Module) -> Optional[str]:
-    """The module-level ``FLOW_ROLE = "..."`` marker, if present."""
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "FLOW_ROLE"
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-        ):
-            return node.value.value
-    return None
-
-
-def _class_role(node: ast.ClassDef) -> Optional[str]:
-    """The ``role = "..."`` class attribute, if declared non-empty."""
-    for stmt in node.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "role"
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, str)
-            and stmt.value.value
-        ):
-            return stmt.value.value
-    return None
-
-
 def _handles_payload(fn: ast.AST) -> Optional[Tuple[str, ast.AST]]:
     """``(payload name, decorator node)`` for an ``@handles(P)`` method."""
     if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -574,17 +512,13 @@ class _ModuleExtractor:
     """Runs the handler and send passes over one parsed module."""
 
     def __init__(
-        self,
-        path: str,
-        tree: ast.Module,
-        source_lines: Sequence[str],
-        payload_names: Set[str],
+        self, path: str, tree: ast.Module, payload_names: Set[str]
     ) -> None:
         self.path = path
         self.tree = tree
-        self.source_lines = source_lines
         self.payload_names = payload_names
-        self.module_role = _module_flow_role(tree)
+        #: the module-level ``FLOW_ROLE = "..."`` marker, if present
+        self.module_role = str_constants(tree.body).get("FLOW_ROLE")
         self.handlers: List[HandlerSite] = []
         self.raw_sends: List[SendSite] = []
         self.raw_mutations: List[MutationSite] = []
@@ -612,7 +546,6 @@ class _ModuleExtractor:
                 col=col,
                 func=func,
                 var=var,
-                line_text=_line_text(self.source_lines, line),
             )
         )
         if var:
@@ -640,7 +573,6 @@ class _ModuleExtractor:
                 line=line,
                 col=col,
                 func=func,
-                line_text=_line_text(self.source_lines, line),
             )
         )
 
@@ -662,7 +594,8 @@ class _ModuleExtractor:
                 self.scan_function(node, role=self.module_role)
 
     def scan_class(self, node: ast.ClassDef) -> None:
-        role = _class_role(node) or self.module_role
+        # a class declares its role with a non-empty `role = "..."`
+        role = str_constants(node.body).get("role") or self.module_role
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 handled = _handles_payload(stmt)
@@ -677,9 +610,6 @@ class _ModuleExtractor:
                                 line=stmt.lineno,
                                 col=stmt.col_offset,
                                 owner=f"{node.name}.{stmt.name}",
-                                line_text=_line_text(
-                                    self.source_lines, stmt.lineno
-                                ),
                             )
                         )
                 self.scan_function(stmt, role=role, qualprefix=node.name)
@@ -753,50 +683,27 @@ def build_flow_graph(
     unreadable / syntactically invalid files (rule ``E000``, matching
     the linter's convention).  The analyzed code is never imported.
     """
-    files = _flow_files(paths, excludes)
-    parsed: List[Tuple[str, ast.Module, List[str]]] = []
+    parsed: List[Tuple[str, ast.Module]] = []
     findings: List[Finding] = []
-    for path in files:
-        path_str = str(path)
-        try:
-            source = path.read_text()
-        except OSError as exc:
-            findings.append(
-                Finding(
-                    rule="E000", path=path_str, line=1, col=0,
-                    message=f"cannot read file: {exc}",
-                )
-            )
-            continue
-        try:
-            tree = ast.parse(source, filename=path_str)
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    rule="E000", path=path_str,
-                    line=exc.lineno or 1, col=exc.offset or 0,
-                    message=f"syntax error: {exc.msg}",
-                )
-            )
-            continue
-        parsed.append((path_str, tree, source.splitlines()))
+    for path in _flow_files(paths, excludes):
+        result = parse_file(path)
+        if isinstance(result, Finding):
+            findings.append(result)
+        else:
+            parsed.append((str(path), result[1]))
 
     kind_map: Dict[str, str] = {}
-    for _, tree, _ in parsed:
+    for _, tree in parsed:
         kind_map.update(_collect_kind_map(tree))
 
     graph = MessageFlowGraph()
-    for path_str, tree, source_lines in parsed:
-        for decl in _collect_payload_decls(
-            path_str, tree, source_lines, kind_map
-        ):
+    for path_str, tree in parsed:
+        for decl in _collect_payload_decls(path_str, tree, kind_map):
             graph.payloads[decl.name] = decl
     payload_names = set(graph.payloads)
 
-    for path_str, tree, source_lines in parsed:
-        extractor = _ModuleExtractor(
-            path_str, tree, source_lines, payload_names
-        )
+    for path_str, tree in parsed:
+        extractor = _ModuleExtractor(path_str, tree, payload_names)
         extractor.run()
         graph.handlers.extend(extractor.handlers)
         graph.sends.extend(extractor.raw_sends)
@@ -809,8 +716,7 @@ def build_flow_graph(
 
 def _decl_finding(rule: str, decl: PayloadDecl, message: str) -> Finding:
     return Finding(
-        rule=rule, path=decl.path, line=decl.line, col=0,
-        message=message, line_text=decl.line_text,
+        rule=rule, path=decl.path, line=decl.line, col=0, message=message
     )
 
 
@@ -862,7 +768,6 @@ def check_flow(graph: MessageFlowGraph) -> List[Finding]:
                             f"role {send.role!r} sends {name} but the "
                             f"payload declares senders ({declared})"
                         ),
-                        line_text=send.line_text,
                     )
                 )
 
@@ -907,7 +812,6 @@ def check_flow(graph: MessageFlowGraph) -> List[Finding]:
                     f"(local {mutation.var!r}) is assigned after "
                     f"construction on a send path in {mutation.func}"
                 ),
-                line_text=mutation.line_text,
             )
         )
 

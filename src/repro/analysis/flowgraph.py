@@ -55,7 +55,6 @@ class PayloadDecl:
     flow: str
     path: str
     line: int
-    line_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class SendSite:
     col: int
     func: str
     var: str = ""
-    line_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,6 @@ class HandlerSite:
     line: int
     col: int
     owner: str
-    line_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,6 @@ class MutationSite:
     line: int
     col: int
     func: str
-    line_text: str = ""
 
 
 #: one graph node: ``(action, role, payload)`` with action "send"/"handle"

@@ -7,12 +7,14 @@ inline suppressions, and returns the remainder sorted by
 
 Suppression syntax::
 
-    x = msg.born == 0.0  # simlint: disable=D004
+    x = msg.born == 0.0  # simlint: disable=D004 unset sentinel
     # simlint: disable-file=D001,D003   (anywhere at module top level)
 
 A per-line comment silences the listed rules on that line only; a
 ``disable-file`` comment silences them for the whole file.  ``disable=all``
-is accepted in both forms.
+is accepted in both forms.  The comma-separated code list ends at the
+first token that is neither a rule code nor ``all``, so commentary may
+follow it.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 from .findings import Finding
 from .rules import RULES
 
-__all__ = ["lint_paths", "lint_file", "collect_files"]
+__all__ = ["lint_paths", "lint_file", "parse_file", "collect_files"]
 
 PathLike = Union[str, Path]
 
+#: one suppressed code: a rule code such as ``D004``, or ``all``
+_CODE = r"(?i:[a-z]\d{3}|all)\b"
 _SUPPRESS_RE = re.compile(
-    r"#\s*simlint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"
+    rf"#\s*simlint:\s*(disable(?:-file)?)\s*=\s*({_CODE}(?:\s*,\s*{_CODE})*)"
 )
 
 
@@ -76,11 +80,7 @@ def _parse_suppressions(
             match = _SUPPRESS_RE.search(tok.string)
             if match is None:
                 continue
-            codes = {
-                code.strip().upper()
-                for code in match.group(2).split(",")
-                if code.strip()
-            }
+            codes = {code.strip().upper() for code in match.group(2).split(",")}
             if match.group(1) == "disable-file":
                 file_wide |= codes
             else:
@@ -103,35 +103,31 @@ def _is_suppressed(
     return covers(per_line.get(finding.line, set()))
 
 
+def parse_file(path: PathLike) -> Union[Tuple[str, ast.Module], Finding]:
+    """``(source, tree)`` of one file, or the ``E000`` finding it earns.
+
+    Shared by simlint and simflow: an unreadable or syntactically
+    invalid file is reported, never raised.
+    """
+    path_str = str(path)
+    try:
+        source = Path(path).read_text()
+        return source, ast.parse(source, filename=path_str)
+    except OSError as exc:
+        message, line, col = f"cannot read file: {exc}", 1, 0
+    except SyntaxError as exc:
+        message = f"syntax error: {exc.msg}"
+        line, col = exc.lineno or 1, exc.offset or 0
+    return Finding(rule="E000", path=path_str, line=line, col=col, message=message)
+
+
 def lint_file(path: PathLike) -> List[Finding]:
     """Run every applicable rule over one file."""
-    p = Path(path)
-    path_str = str(p)
-    try:
-        source = p.read_text()
-    except OSError as exc:
-        return [
-            Finding(
-                rule="E000",
-                path=path_str,
-                line=1,
-                col=0,
-                message=f"cannot read file: {exc}",
-            )
-        ]
-    try:
-        tree = ast.parse(source, filename=path_str)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="E000",
-                path=path_str,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-
+    path_str = str(Path(path))
+    parsed = parse_file(path_str)
+    if isinstance(parsed, Finding):
+        return [parsed]
+    source, tree = parsed
     source_lines = source.splitlines()
     per_line, file_wide = _parse_suppressions(source)
 

@@ -1,46 +1,36 @@
 """The simlint rule catalog (D001–D014).
 
 Each rule is an :class:`ast.NodeVisitor` with a code, a one-line title,
-and a path scope.  Rules are registered in :data:`RULES` by the
-``@register`` decorator; the engine (:mod:`repro.analysis.linter`)
-instantiates every applicable rule per file and feeds it the parsed
-tree.  The catalog, with rationale and examples, is documented in
-DESIGN.md §7.
+and a path scope.  Rules are registered in :data:`RULES`; the engine
+(:mod:`repro.analysis.linter`) instantiates every applicable rule per
+file and feeds it the parsed tree.
 
-Scopes follow the determinism contract rather than blanket coverage:
-wall-clock and hash-order rules (D002/D003) only bind inside the
-simulated world (``sim``/``chord``/``core``), float-equality (D004)
-inside routing and index math (``chord``/``core``), while RNG hygiene
-(D001), kind registration (D005), payload-default safety (D006) and
-registry/dispatch coherence (D007) apply everywhere outside test code;
-performance-timer containment (D008) applies everywhere except the
-sanctioned measurement homes (``repro/perf`` and ``benchmarks``) and
-process-spawn containment (D009) everywhere except ``benchmarks``, the
-simulator being single-process; raw-send
-containment (D010) binds inside ``chord``/``core`` outside the
-overlay/runtime/reliable modules that *are* the sanctioned send path;
-silent exception swallowing (D011) binds inside the simulated world
-(``sim``/``chord``/``core``) where a dropped error means silently
-corrupted protocol state rather than a visible crash; real-network
-primitive containment (D012) bans ``socket``/``asyncio``/``threading``
-imports everywhere except ``repro/net``, the transport seam's home;
-mapping-mutation containment (D013) binds inside the simulated world
-outside ``core/mapping.py``/``core/system.py``, the sanctioned remap
-entry points (DESIGN.md §13); dict-state bound documentation (D014)
-binds inside ``chord``, where per-node mappings multiply by N and an
-undocumented key domain is how the N=5000 run once spent 60 % of its
-RSS on a routing memo (PERFORMANCE.md §11).
+Seven rules only ban names: outside their scope, do not import, call or
+assign them.  Those are the rows of :data:`BANS`, all read by the one
+:class:`BanRule` visitor.  The other seven (D003–D007, D011, D014) hold
+real logic and are classes of their own.  The catalog, with each rule's
+scope and rationale, is documented in DESIGN.md §7.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from .findings import Finding
 
-__all__ = ["LintRule", "RULES", "register", "all_rule_codes"]
+__all__ = [
+    "LintRule",
+    "BanRule",
+    "Ban",
+    "BANS",
+    "RULES",
+    "register",
+    "all_rule_codes",
+    "str_constants",
+]
 
 RULES: Dict[str, Type["LintRule"]] = {}
 
@@ -61,7 +51,7 @@ def all_rule_codes() -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# path scoping helpers
+# path scoping and AST helpers
 # ----------------------------------------------------------------------
 def _parts(path: str) -> Tuple[str, ...]:
     return PurePosixPath(path.replace("\\", "/")).parts
@@ -92,6 +82,31 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _has_suffix(dotted: str, suffixes: Tuple[str, ...]) -> bool:
+    """Whether ``dotted`` is, or ends with ``.`` plus, one of ``suffixes``."""
+    return any(dotted == s or dotted.endswith("." + s) for s in suffixes)
+
+
+def str_constants(body: Sequence[ast.stmt]) -> Dict[str, str]:
+    """``NAME -> value`` for every ``NAME = "literal"`` statement in ``body``.
+
+    Shared by D005 (so ``Message(kind=NAME)`` resolves an aliased kind
+    string) and simflow's registry pass (``KIND`` attributes, ``role``
+    and ``FLOW_ROLE`` markers, named constants in ``@payload``).
+    """
+    out: Dict[str, str] = {}
+    for stmt in body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str)
+        ):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = stmt.value.value
+    return out
+
+
 class LintRule(ast.NodeVisitor):
     """Base class for simlint rules.
 
@@ -114,18 +129,13 @@ class LintRule(ast.NodeVisitor):
 
     def report(self, node: ast.AST, message: str) -> None:
         """Record a finding at ``node``'s location."""
-        line = getattr(node, "lineno", 1)
-        text = ""
-        if 1 <= line <= len(self._source_lines):
-            text = self._source_lines[line - 1].strip()
         self.findings.append(
             Finding(
                 rule=self.code,
                 path=self.path,
-                line=line,
+                line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
                 message=message,
-                line_text=text,
             )
         )
 
@@ -136,142 +146,194 @@ class LintRule(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-# D001 — raw / global RNG use
+# D001, D002, D008, D009, D010, D012, D013 — the ban table
 # ----------------------------------------------------------------------
-@register
-class RawRngRule(LintRule):
-    """Randomness must flow through named ``RngRegistry`` substreams.
+@dataclass(frozen=True)
+class Ban:
+    """One row of :data:`BANS`: names a path scope may not use."""
 
-    ``import random``, ``np.random.seed`` and ad-hoc
-    ``np.random.default_rng(...)`` construction create streams outside
-    the single-root-seed derivation, breaking the "a run is a pure
-    function of (config, seed)" guarantee and the variance isolation
-    the parameter sweeps rely on.  Only :mod:`repro.sim.rng` itself may
-    construct generators.
-    """
+    code: str
+    title: str
+    #: the advice appended to every finding of the row
+    hint: str
+    #: packages the row binds in; empty binds everywhere outside tests
+    packages: Tuple[str, ...] = ()
+    exempt_packages: Tuple[str, ...] = ()
+    #: path suffixes of exempt files, e.g. ``"sim/rng.py"``
+    exempt_files: Tuple[str, ...] = ()
+    #: top-level modules that may not be imported, nor imported from
+    modules: Tuple[str, ...] = ()
+    #: ``"M.name"`` for each banned ``from M import name``
+    from_imports: Tuple[str, ...] = ()
+    #: dotted-call suffixes: ``"os.fork"`` also bans ``x.os.fork()``
+    calls: Tuple[str, ...] = ()
+    #: attribute-write suffixes: ``"mapper"`` bans ``x.mapper = ...``
+    writes: Tuple[str, ...] = ()
 
-    code = "D001"
-    title = "raw RNG construction outside sim/rng.py"
 
-    _BANNED_SUFFIXES = (
-        "np.random.seed",
-        "np.random.default_rng",
-        "np.random.RandomState",
-        "numpy.random.seed",
-        "numpy.random.default_rng",
-        "numpy.random.RandomState",
-        "random.seed",
-    )
+_SIM_WORLD = ("sim", "chord", "core")
+_CLOCKS = (
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.process_time",
+)
+_PERF_TIMERS = (
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.process_time",
+    "time.process_time_ns",
+)
+_FORKS = ("os.fork", "os.forkpty")
+
+BANS: Tuple[Ban, ...] = (
+    Ban(
+        "D001",
+        "raw RNG construction outside sim/rng.py",
+        "draw from a named RngRegistry substream instead",
+        exempt_files=("sim/rng.py",),
+        modules=("random",),
+        calls=(
+            "np.random.seed",
+            "np.random.default_rng",
+            "np.random.RandomState",
+            "numpy.random.seed",
+            "numpy.random.default_rng",
+            "numpy.random.RandomState",
+            "random.seed",
+        ),
+    ),
+    Ban(
+        "D002",
+        "wall-clock access in sim/chord/core",
+        "simulated code must use Simulator.now",
+        packages=_SIM_WORLD,
+        from_imports=_CLOCKS,
+        calls=_CLOCKS
+        + ("datetime.now", "datetime.utcnow", "datetime.today", "date.today"),
+    ),
+    Ban(
+        "D008",
+        "perf timer outside repro/perf and benchmarks",
+        "timing belongs in repro/perf or benchmarks/ (see PERFORMANCE.md)",
+        # sim/chord/core are D002's: any wall clock, not just perf timers
+        exempt_packages=_SIM_WORLD + ("perf", "benchmarks"),
+        from_imports=_PERF_TIMERS,
+        calls=_PERF_TIMERS,
+    ),
+    Ban(
+        "D009",
+        "process spawning in the single-process simulator",
+        "the simulator is single-process; parallelise across runs in benchmarks/",
+        exempt_packages=("benchmarks",),
+        modules=("multiprocessing",),
+        from_imports=_FORKS,
+        calls=_FORKS,
+    ),
+    Ban(
+        "D010",
+        "raw network send outside the overlay/runtime layer",
+        "it bypasses the reliable/dispatch path; route via "
+        "NodeRuntime.reliable_route or the DhtOverlay primitives",
+        packages=("chord", "core"),
+        exempt_packages=("sim",),
+        exempt_files=("core/runtime.py", "core/reliable.py", "chord/dht.py"),
+        calls=("network.hop", "network.local"),
+    ),
+    Ban(
+        "D012",
+        "socket/asyncio/threading import outside repro/net",
+        "role services and runtime code talk to the Transport seam "
+        "(repro.net.transport.Transport); transport-specific code belongs "
+        "under repro/net/",
+        exempt_packages=("net",),
+        modules=("socket", "asyncio", "threading"),
+    ),
+    Ban(
+        "D013",
+        "mapping-state mutation outside sanctioned remap entry points",
+        "it re-keys the ring under already-stored MBRs; only core/mapping.py "
+        "and core/system.py may change the mapping",
+        packages=_SIM_WORLD,
+        exempt_files=("core/mapping.py", "core/system.py"),
+        calls=("refit",),
+        writes=("mapper", "_epochs", "_edges"),
+    ),
+)
+
+
+class BanRule(LintRule):
+    """The one visitor behind every :data:`BANS` row."""
+
+    ban: Ban
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
-        if is_test_path(path):
-            return False
-        # The registry itself is the one sanctioned construction site.
-        return not path.replace("\\", "/").endswith("sim/rng.py")
+        ban = cls.ban
+        return (
+            not is_test_path(path)
+            and (not ban.packages or _in_packages(path, ban.packages))
+            and not _in_packages(path, ban.exempt_packages)
+            and not "/".join(_parts(path)).endswith(ban.exempt_files)
+        )
+
+    def _flag(self, node: ast.AST, what: str) -> None:
+        self.report(node, f"{what}: {self.ban.hint}")
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            if alias.name == "random" or alias.name.startswith("random."):
-                self.report(
-                    node,
-                    "import of the global `random` module; draw from a "
-                    "named RngRegistry substream instead",
-                )
+            if alias.name.split(".")[0] in self.ban.modules:
+                self._flag(node, f"import of `{alias.name}`")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            self.report(
-                node,
-                "import from the global `random` module; draw from a "
-                "named RngRegistry substream instead",
-            )
+        module = node.module or ""
+        if module.split(".")[0] in self.ban.modules:
+            self._flag(node, f"import from `{module}`")
+        else:
+            for alias in node.names:
+                if f"{module}.{alias.name}" in self.ban.from_imports:
+                    self._flag(node, f"import of `{module}.{alias.name}`")
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
-        if dotted is not None:
-            for banned in self._BANNED_SUFFIXES:
-                if dotted == banned or dotted.endswith("." + banned):
-                    self.report(
-                        node,
-                        f"call to `{dotted}` constructs an unmanaged RNG; "
-                        "use a named RngRegistry substream",
-                    )
-                    break
+        if dotted is not None and _has_suffix(dotted, self.ban.calls):
+            self._flag(node, f"call to `{dotted}`")
+        self.generic_visit(node)
+
+    def _check_write(self, node: ast.stmt, target: ast.expr) -> None:
+        if not isinstance(target, ast.Attribute):
+            return
+        dotted = _dotted_name(target)
+        if dotted is not None and _has_suffix(dotted, self.ban.writes):
+            self._flag(node, f"write to `{dotted}`")
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_write(node, target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_write(node, node.target)
         self.generic_visit(node)
 
 
-# ----------------------------------------------------------------------
-# D002 — wall-clock access inside the simulated world
-# ----------------------------------------------------------------------
-@register
-class WallClockRule(LintRule):
-    """Simulated components must use ``Simulator.now``, never real time.
+def _ban_rule(row: Ban) -> Type[LintRule]:
+    class Rule(BanRule):
+        code = row.code
+        title = row.title
+        ban = row
 
-    A wall-clock read makes behaviour depend on host speed and run
-    timing — the exact nondeterminism a discrete-event simulation
-    exists to remove.
-    """
+    Rule.__name__ = Rule.__qualname__ = f"BanRule{row.code}"
+    return Rule
 
-    code = "D002"
-    title = "wall-clock access in sim/chord/core"
 
-    _BANNED_CALLS = (
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "date.today",
-    )
-    _BANNED_FROM_IMPORTS = {
-        "time": {
-            "time",
-            "time_ns",
-            "monotonic",
-            "monotonic_ns",
-            "perf_counter",
-            "perf_counter_ns",
-            "process_time",
-        },
-    }
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        return not is_test_path(path) and _in_packages(
-            path, ("sim", "chord", "core")
-        )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        banned = self._BANNED_FROM_IMPORTS.get(node.module or "", set())
-        for alias in node.names:
-            if alias.name in banned:
-                self.report(
-                    node,
-                    f"import of wall-clock `{node.module}.{alias.name}`; "
-                    "simulated code must use Simulator.now",
-                )
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        if dotted is not None:
-            for banned in self._BANNED_CALLS:
-                if dotted == banned or dotted.endswith("." + banned):
-                    self.report(
-                        node,
-                        f"wall-clock call `{dotted}`; simulated code must "
-                        "use Simulator.now",
-                    )
-                    break
-        self.generic_visit(node)
+for _row in BANS:
+    register(_ban_rule(_row))
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +357,7 @@ class HashOrderIterationRule(LintRule):
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
-        return not is_test_path(path) and _in_packages(
-            path, ("sim", "chord", "core")
-        )
+        return not is_test_path(path) and _in_packages(path, _SIM_WORLD)
 
     def __init__(self, path: str, source_lines: List[str]) -> None:
         super().__init__(path, source_lines)
@@ -458,10 +518,6 @@ class UnknownKindRule(LintRule):
 
     _KIND_KEYWORDS = ("kind", "transit_kind", "span_kind")
 
-    def __init__(self, path: str, source_lines: List[str]) -> None:
-        super().__init__(path, source_lines)
-        self._module_strs: Dict[str, str] = {}
-
     @staticmethod
     def _known_kinds() -> Set[str]:
         from ..core.protocol import KNOWN_KINDS
@@ -469,17 +525,9 @@ class UnknownKindRule(LintRule):
         return set(KNOWN_KINDS)
 
     def visit_Module(self, node: ast.Module) -> None:
-        # module-level NAME = "literal" constants, so `Message(kind=NAME)`
-        # resolves even when the code aliases a kind string
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        self._module_strs[target.id] = stmt.value.value
+        # module-level constants, so `Message(kind=NAME)` resolves even
+        # when the code aliases a kind string
+        self._module_strs = str_constants(node.body)
         self.generic_visit(node)
 
     def _kind_value(self, node: ast.AST) -> Optional[Tuple[str, str]]:
@@ -675,188 +723,6 @@ class ProtocolRegistryRule(LintRule):
 
 
 # ----------------------------------------------------------------------
-# D008 — performance timers only in the perf layer and benchmarks
-# ----------------------------------------------------------------------
-@register
-class PerfTimerContainmentRule(LintRule):
-    """Wall-clock *performance* timers live in ``repro/perf`` and ``benchmarks``.
-
-    D002 keeps wall clocks out of the simulated world (``sim`` / ``chord``
-    / ``core``); this rule covers the rest of the tree.  Measurement code
-    scattered through analysis or CLI layers drifts: numbers get produced
-    outside the schema-versioned bench report and outside the regression
-    gate.  ``time.perf_counter`` / ``time.process_time`` (and ``_ns``
-    variants) are therefore contained to the two sanctioned homes — the
-    :mod:`repro.perf` harness and the ``benchmarks/`` suite — so every
-    timing claim in the repo flows through one measured, comparable path
-    (PERFORMANCE.md).
-    """
-
-    code = "D008"
-    title = "perf timer outside repro/perf and benchmarks"
-
-    _BANNED_CALLS = (
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-    )
-    _BANNED_FROM_TIME = {
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-    }
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if is_test_path(path):
-            return False
-        # sim/chord/core are D002's territory (any wall clock, not just
-        # perf timers); flagging them here too would double-report.
-        if _in_packages(path, ("sim", "chord", "core")):
-            return False
-        return not _in_packages(path, ("perf", "benchmarks"))
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time":
-            for alias in node.names:
-                if alias.name in self._BANNED_FROM_TIME:
-                    self.report(
-                        node,
-                        f"import of perf timer `time.{alias.name}`; timing "
-                        "belongs in repro/perf or benchmarks/ "
-                        "(see PERFORMANCE.md)",
-                    )
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        if dotted is not None:
-            for banned in self._BANNED_CALLS:
-                if dotted == banned or dotted.endswith("." + banned):
-                    self.report(
-                        node,
-                        f"perf timer call `{dotted}` outside repro/perf and "
-                        "benchmarks/; route measurement through "
-                        "benchmarks/suite",
-                    )
-                    break
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
-# D009 — no process spawning in the source tree
-# ----------------------------------------------------------------------
-@register
-class ProcessSpawnContainmentRule(LintRule):
-    """The simulator is single-process: nothing under ``src/`` forks.
-
-    Every figure is a message count from one deterministic event loop,
-    and a serial run finishes in seconds, so there is nothing to gain
-    from fanning one run out.  A ``multiprocessing`` import or
-    ``os.fork`` would bring back exactly the nondeterminism this
-    codebase exists to exclude — completion-order merges, shared-state
-    mutation across forks, RNG streams split outside the per-run
-    registries.  Parallelism belongs *across* runs, in ``benchmarks/``
-    (and tests), which are the only exempt paths.
-    """
-
-    code = "D009"
-    title = "process spawning in the single-process simulator"
-
-    _BANNED_MODULES = {"multiprocessing"}
-    _BANNED_CALLS = ("os.fork", "os.forkpty")
-    _BANNED_OS_NAMES = {"fork", "forkpty"}
-    _HINT = "the simulator is single-process; parallelise across runs in benchmarks/"
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if is_test_path(path):
-            return False
-        return not _in_packages(path, ("benchmarks",))
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name.split(".")[0] in self._BANNED_MODULES:
-                self.report(node, f"import of `{alias.name}`: {self._HINT}")
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if module.split(".")[0] in self._BANNED_MODULES:
-            self.report(node, f"import from `{module}`: {self._HINT}")
-        elif module == "os":
-            for alias in node.names:
-                if alias.name in self._BANNED_OS_NAMES:
-                    self.report(node, f"import of `os.{alias.name}`: {self._HINT}")
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        if dotted is not None:
-            for banned in self._BANNED_CALLS:
-                if dotted == banned or dotted.endswith("." + banned):
-                    self.report(node, f"process fork `{dotted}`: {self._HINT}")
-                    break
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
-# D010 — raw network transmission outside the overlay/runtime layer
-# ----------------------------------------------------------------------
-@register
-class RawNetworkSendRule(LintRule):
-    """Physical sends go through the overlay / reliable / dispatch path.
-
-    Every message the simulated fabric carries must be observable by
-    the reliability layer (retransmission, dead-letter accounting) and
-    the dispatch layer (dedup, acks) — that is what makes the
-    availability figures trustworthy and the replication subsystem's
-    at-most-once installs sound.  A direct ``*.network.hop(...)`` or
-    ``*.network.local(...)`` call anywhere else creates traffic those
-    layers never see.  Sanctioned homes: :mod:`repro.sim` (the fabric
-    itself), :mod:`repro.chord.dht` (the overlay's routing primitives),
-    :mod:`repro.core.runtime` and :mod:`repro.core.reliable` (dispatch
-    and retry).  Anything else routes via
-    ``NodeRuntime.reliable_route`` / ``DhtOverlay.route`` /
-    ``DhtOverlay.send_direct``, or carries an inline justification.
-    """
-
-    code = "D010"
-    title = "raw network send outside the overlay/runtime layer"
-
-    _BANNED_SUFFIXES = ("network.hop", "network.local")
-    _SANCTIONED = ("core/runtime.py", "core/reliable.py", "chord/dht.py")
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if is_test_path(path):
-            return False
-        if not _in_packages(path, ("sim", "chord", "core")):
-            return False
-        if _in_packages(path, ("sim",)):
-            return False  # the fabric's own implementation
-        normalized = "/".join(_parts(path))
-        return not any(normalized.endswith(s) for s in cls._SANCTIONED)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        if dotted is not None:
-            for suffix in self._BANNED_SUFFIXES:
-                if dotted == suffix or dotted.endswith("." + suffix):
-                    self.report(
-                        node,
-                        f"raw network send `{dotted}(...)` bypasses the "
-                        "reliable/dispatch path; route via "
-                        "NodeRuntime.reliable_route or the DhtOverlay "
-                        "primitives",
-                    )
-                    break
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
 # D011 — silent exception swallowing inside the simulated world
 # ----------------------------------------------------------------------
 @register
@@ -881,9 +747,7 @@ class SilentExceptionRule(LintRule):
 
     @classmethod
     def applies_to(cls, path: str) -> bool:
-        return not is_test_path(path) and _in_packages(
-            path, ("sim", "chord", "core")
-        )
+        return not is_test_path(path) and _in_packages(path, _SIM_WORLD)
 
     @staticmethod
     def _is_noop_body(body: List[ast.stmt]) -> bool:
@@ -917,135 +781,6 @@ class SilentExceptionRule(LintRule):
                     "a logic bug; handle it visibly or catch a specific "
                     "exception type",
                 )
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
-# D012 — real-network primitives only inside repro/net
-# ----------------------------------------------------------------------
-@register
-class NetworkPrimitiveContainmentRule(LintRule):
-    """``socket`` / ``asyncio`` / ``threading`` live in ``repro/net`` only.
-
-    The transport seam (:mod:`repro.net.transport`) exists so that every
-    role service, the reliable sender and the runtime are portable
-    between the deterministic simulator and the asyncio peer runtime —
-    which holds only if nothing outside :mod:`repro.net` touches real
-    I/O or concurrency primitives.  A ``socket`` import in a role
-    service would hard-wire it to one transport; an ``asyncio`` or
-    ``threading`` import introduces wall-clock scheduling and
-    interleaving the simulator cannot replay, silently voiding the
-    byte-identity guarantee the sweep results rest on.  Talk to
-    :class:`repro.net.transport.Transport` instead, or put genuinely
-    transport-specific code under ``repro/net``.
-    """
-
-    code = "D012"
-    title = "socket/asyncio/threading import outside repro/net"
-
-    _BANNED_MODULES = {"socket", "asyncio", "threading"}
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if is_test_path(path):
-            return False
-        return not _in_packages(path, ("net",))
-
-    def _flag(self, node: ast.AST, module: str) -> None:
-        self.report(
-            node,
-            f"import of `{module}` outside repro/net/; role services and "
-            "runtime code talk to the Transport seam "
-            "(repro.net.transport.Transport), transport-specific code "
-            "belongs under repro/net/",
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name.split(".")[0] in self._BANNED_MODULES:
-                self._flag(node, alias.name)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if module.split(".")[0] in self._BANNED_MODULES:
-            self._flag(node, module)
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
-# D013 — mapping-state mutation outside sanctioned remap entry points
-# ----------------------------------------------------------------------
-@register
-class MappingMutationRule(LintRule):
-    """The key mapping is read-only outside its sanctioned homes.
-
-    The mapping (DESIGN.md §13) is *shared routing state*: every
-    source, client and holder derives keys from ``system.mapper``.  A
-    rogue ``*.refit(...)`` call (``AdaptiveQuantileMapper``'s epoch
-    bump) or a direct write to ``*.mapper`` / ``*._epochs`` /
-    ``*._edges`` re-keys the ring under already-stored MBRs, so they
-    silently become unreachable to new queries — routing still
-    succeeds, it just lands somewhere the data isn't.  Sanctioned
-    homes: :mod:`repro.core.mapping` (the mappers themselves) and
-    :mod:`repro.core.system` (mapper construction).  Everything else
-    treats the mapper as read-only.
-    """
-
-    code = "D013"
-    title = "mapping-state mutation outside sanctioned remap entry points"
-
-    _BANNED_CALL_SUFFIXES = ("refit",)
-    _BANNED_TARGET_SUFFIXES = ("mapper", "_epochs", "_edges")
-    _SANCTIONED = ("core/mapping.py", "core/system.py")
-
-    @classmethod
-    def applies_to(cls, path: str) -> bool:
-        if is_test_path(path):
-            return False
-        if not _in_packages(path, ("sim", "chord", "core")):
-            return False
-        normalized = "/".join(_parts(path))
-        return not any(normalized.endswith(s) for s in cls._SANCTIONED)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        if dotted is not None:
-            for suffix in self._BANNED_CALL_SUFFIXES:
-                if dotted == suffix or dotted.endswith("." + suffix):
-                    self.report(
-                        node,
-                        f"direct remap `{dotted}(...)` re-keys the ring "
-                        "under already-stored MBRs; only core/mapping.py "
-                        "and core/system.py may change the mapping",
-                    )
-                    break
-        self.generic_visit(node)
-
-    def _check_target(self, node: ast.AST, target: ast.expr) -> None:
-        if not isinstance(target, ast.Attribute):
-            return
-        dotted = _dotted_name(target)
-        if dotted is None:
-            return
-        for suffix in self._BANNED_TARGET_SUFFIXES:
-            if dotted.endswith("." + suffix):
-                self.report(
-                    node,
-                    f"write to mapping state `{dotted}` outside the "
-                    "sanctioned remap entry points (core/mapping.py, "
-                    "core/system.py); the mapper is read-only shared "
-                    "routing state everywhere else",
-                )
-                return
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_target(node, target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_target(node, node.target)
         self.generic_visit(node)
 
 

@@ -136,28 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories (default: src)"
     )
-    lint.add_argument(
-        "--baseline",
-        default="simlint-baseline.txt",
-        help="baseline file of grandfathered findings",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="fail if the baseline lists findings no longer emitted "
-        "(baseline hygiene; combine with --write to rewrite it)",
-    )
-    lint.add_argument(
-        "--write",
-        action="store_true",
-        help="with --prune-baseline: rewrite the baseline keeping only "
-        "still-emitted findings",
-    )
 
     proto = sub.add_parser(
         "protocol",
@@ -184,24 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="source roots to analyze (default: src)",
     )
     flow.add_argument(
-        "--baseline",
-        default="flow-baseline.txt",
-        help="baseline file of grandfathered flow findings",
-    )
-    flow.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    flow.add_argument(
         "--dot",
         metavar="FILE",
         help="also write the message-flow graph in Graphviz DOT form",
-    )
-    flow.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero on findings not covered by the baseline",
     )
 
     rs = sub.add_parser("ring-stats", help="Chord ring diagnostics")
@@ -596,59 +559,23 @@ def _settle_and_check(system, out) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_lint(args, out) -> int:
-    from .analysis import (
-        format_finding,
-        lint_paths,
-        load_baseline,
-        split_baselined,
-        stale_entries,
-        write_baseline,
-    )
+def _report_findings(tool: str, findings, out) -> int:
+    """Print findings and a summary line; exit 1 on any finding."""
+    from .analysis import format_finding
 
-    findings = lint_paths(args.paths)
-    if args.write_baseline:
-        write_baseline(findings, args.baseline)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline}", file=out
-        )
-        return 0
-    baseline = load_baseline(args.baseline)
-    if args.prune_baseline:
-        stale = stale_entries(findings, baseline)
-        if not stale:
-            print(
-                f"simlint: baseline {args.baseline} is tight "
-                f"({sum(baseline.values())} entr(ies), none stale)",
-                file=out,
-            )
-            return 0
-        if args.write:
-            _, grandfathered = split_baselined(findings, baseline)
-            write_baseline(grandfathered, args.baseline)
-            print(
-                f"simlint: pruned {len(stale)} stale entr(ies) from "
-                f"{args.baseline} ({len(grandfathered)} kept)",
-                file=out,
-            )
-            return 0
-        for entry in stale:
-            print(f"stale: {entry}", file=out)
-        print(
-            f"simlint: {len(stale)} baseline entr(ies) no longer "
-            f"emitted — rerun with --prune-baseline --write",
-            file=out,
-        )
-        return 1
-    fresh, grandfathered = split_baselined(findings, baseline)
-    for finding in fresh:
+    for finding in findings:
         print(format_finding(finding), file=out)
-    suffix = f" ({len(grandfathered)} baselined)" if grandfathered else ""
-    if fresh:
-        print(f"simlint: {len(fresh)} finding(s){suffix}", file=out)
+    if findings:
+        print(f"{tool}: {len(findings)} finding(s)", file=out)
         return 1
-    print(f"simlint: clean{suffix}", file=out)
+    print(f"{tool}: clean", file=out)
     return 0
+
+
+def cmd_lint(args, out) -> int:
+    from .analysis import lint_paths
+
+    return _report_findings("simlint", lint_paths(args.paths), out)
 
 
 def protocol_registry_dump() -> list:
@@ -760,14 +687,7 @@ def cmd_flow(args, out) -> int:
     """simflow: static protocol-flow table, DOT export and F checks."""
     from pathlib import Path as _Path
 
-    from .analysis import (
-        analyze_flow,
-        format_finding,
-        load_baseline,
-        render_flow_table,
-        split_baselined,
-        write_baseline,
-    )
+    from .analysis import analyze_flow, render_flow_table
 
     graph, findings = analyze_flow(args.paths)
     print(render_flow_table(graph), file=out)
@@ -780,23 +700,7 @@ def cmd_flow(args, out) -> int:
     if args.dot:
         _Path(args.dot).write_text(graph.to_dot())
         print(f"wrote flow graph to {args.dot}", file=out)
-    if args.write_baseline:
-        write_baseline(findings, args.baseline)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline}", file=out
-        )
-        return 0
-    fresh, grandfathered = split_baselined(
-        findings, load_baseline(args.baseline)
-    )
-    for finding in fresh:
-        print(format_finding(finding), file=out)
-    suffix = f" ({len(grandfathered)} baselined)" if grandfathered else ""
-    if fresh:
-        print(f"simflow: {len(fresh)} finding(s){suffix}", file=out)
-        return 1 if args.check else 0
-    print(f"simflow: clean{suffix}", file=out)
-    return 0
+    return _report_findings("simflow", findings, out)
 
 
 def cmd_ring_stats(args, out) -> int:

@@ -79,15 +79,10 @@ Candidates = List[Tuple[str, float]]
 
 @dataclass(slots=True)
 class StoredMBR:
-    """An MBR held by a data center until ``expires``.
-
-    ``source_id`` remembers the publishing node; ``-1`` for entries
-    installed through paths that don't carry it.
-    """
+    """An MBR held by a data center until ``expires``."""
 
     mbr: MBR
     expires: float
-    source_id: int = -1
 
 
 @dataclass(slots=True)
@@ -293,7 +288,7 @@ class LocalIndex:
     # ------------------------------------------------------------------
     # MBR store
     # ------------------------------------------------------------------
-    def add_mbr(self, mbr: MBR, expires: float, source_id: int = -1) -> None:
+    def add_mbr(self, mbr: MBR, expires: float) -> None:
         """Store a summary MBR until its lifespan ends.
 
         Every stored box has one dimensionality: a box that differs
@@ -305,7 +300,7 @@ class LocalIndex:
                 f"MBR of {dims} dimensions in a store of {self._dims}-dimensional MBRs"
             )
         self._dims = dims
-        entry = StoredMBR(mbr, expires, source_id)
+        entry = StoredMBR(mbr, expires)
         entries = self._mbrs.get(mbr.stream_id)
         if entries is None:
             self._mbrs[mbr.stream_id] = [entry]

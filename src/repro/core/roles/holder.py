@@ -80,9 +80,7 @@ class IndexHolderService(RoleService):
         if not self._admit_mbr(message, payload):
             return
         self.index.add_mbr(
-            payload.mbr,
-            expires=self.transport.now + payload.lifespan_ms,
-            source_id=payload.source_id,
+            payload.mbr, expires=self.transport.now + payload.lifespan_ms
         )
         if (
             self.system.hierarchy_index is not None

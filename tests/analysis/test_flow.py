@@ -687,9 +687,7 @@ def _run_cli(*argv):
 
 
 def test_cli_flow_prints_table_and_is_clean(tmp_path):
-    code, text = _run_cli(
-        "flow", str(REPO_SRC), "--baseline", str(tmp_path / "b.txt")
-    )
+    code, text = _run_cli("flow", str(REPO_SRC))
     assert code == 0
     assert "PAYLOAD" in text and "HANDLERS" in text
     assert "MbrPublish" in text
@@ -704,56 +702,19 @@ def test_cli_flow_check_gates_on_findings(tmp_path):
         "proj/roles.py",
         CLEAN_ROLES.replace("@handles(Pong)", "# pruned"),
     )
-    baseline = str(tmp_path / "b.txt")
-    # without --check the findings are reported but do not gate
-    code, text = _run_cli("flow", str(proj), "--baseline", baseline)
-    assert code == 0
-    assert "F001" in text
-    code, text = _run_cli("flow", str(proj), "--baseline", baseline, "--check")
+    code, text = _run_cli("flow", str(proj))
     assert code == 1
+    assert "F001" in text
     assert "simflow: 1 finding(s)" in text
 
 
 def test_cli_flow_writes_dot_artifact(tmp_path):
     proj = clean_tree(tmp_path)
     dot_path = tmp_path / "graph.dot"
-    code, text = _run_cli(
-        "flow", str(proj),
-        "--baseline", str(tmp_path / "b.txt"),
-        "--dot", str(dot_path),
-    )
+    code, text = _run_cli("flow", str(proj), "--dot", str(dot_path))
     assert code == 0
     assert f"wrote flow graph to {dot_path}" in text
     assert dot_path.read_text().startswith("digraph message_flow {")
-
-
-def test_cli_flow_baseline_grandfathers_findings(tmp_path):
-    proj = clean_tree(tmp_path)
-    write(
-        tmp_path,
-        "proj/roles.py",
-        CLEAN_ROLES.replace("@handles(Pong)", "# pruned"),
-    )
-    baseline = str(tmp_path / "b.txt")
-    code, _ = _run_cli(
-        "flow", str(proj), "--baseline", baseline, "--write-baseline"
-    )
-    assert code == 0
-    code, text = _run_cli("flow", str(proj), "--baseline", baseline, "--check")
-    assert code == 0
-    assert "simflow: clean (1 baselined)" in text
-
-
-def test_cli_flow_check_against_committed_baseline():
-    # the gate CI runs: the committed baseline must hold the tree clean
-    repo_root = REPO_SRC.parents[1]
-    code, text = _run_cli(
-        "flow", str(REPO_SRC),
-        "--baseline", str(repo_root / "flow-baseline.txt"),
-        "--check",
-    )
-    assert code == 0
-    assert "simflow: clean" in text
 
 
 # -------------------------------------- agreement with the live registry

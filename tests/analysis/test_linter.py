@@ -1,15 +1,9 @@
-"""Engine-level tests: suppressions, baselines, and the lint CLI."""
+"""Engine-level tests: suppressions and the lint CLI."""
 
 import io
 import textwrap
 
-from repro.analysis import (
-    fingerprint,
-    lint_paths,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
+from repro.analysis import lint_paths
 from repro.analysis.linter import collect_files, lint_file
 from repro.cli import main
 
@@ -79,11 +73,13 @@ def test_file_level_suppression(tmp_path):
 def test_suppress_all_and_trailing_commentary(tmp_path):
     path = write(
         tmp_path,
-        "pkg/mod.py",
+        "core/mod.py",
         """\
         import numpy as np
         a = np.random.default_rng(0)  # simlint: disable=all
         b = np.random.default_rng(1)  # simlint: disable=D001 (vendored)
+        c = a == 0.0  # simlint: disable=D004 sentinel value
+        d = b != 0.0  # simlint: disable=D001, D004 both apply here
         """,
     )
     assert lint_file(path) == []
@@ -102,64 +98,19 @@ def test_suppression_marker_in_string_is_inert(tmp_path):
 
 
 def test_suppressing_other_rule_does_not_silence(tmp_path):
+    # the code list ends at the first token that is not a code
     path = write(
         tmp_path,
-        "pkg/mod.py",
+        "core/mod.py",
         """\
         import numpy as np
         a = np.random.default_rng(0)  # simlint: disable=D004
+        b = a == 0.0  # simlint: disable=D0045
+        c = a == 0.0  # simlint: disable=sentinel D004
+        d = a == 0.0  # simlint: disable=D001 D004
         """,
     )
-    assert [f.rule for f in lint_file(path)] == ["D001"]
-
-
-# ------------------------------------------------------------ baselines
-def test_baseline_round_trip(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "pkg/mod.py", VIOLATION)
-    findings = lint_paths(["pkg"])
-    assert findings
-    baseline_path = tmp_path / "baseline.txt"
-    write_baseline(findings, baseline_path)
-    fresh, grandfathered = split_baselined(
-        lint_paths(["pkg"]), load_baseline(baseline_path)
-    )
-    assert fresh == []
-    assert len(grandfathered) == len(findings)
-
-
-def test_baseline_is_line_number_independent(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "pkg/mod.py", VIOLATION)
-    baseline = load_baseline(tmp_path / "nope.txt")
-    assert not baseline  # missing file = empty baseline
-    findings = lint_paths(["pkg"])
-    write_baseline(findings, tmp_path / "baseline.txt")
-    # shift the finding down two lines: same text, so still grandfathered
-    write(tmp_path, "pkg/mod.py", "# a comment\n\n" + VIOLATION)
-    fresh, grandfathered = split_baselined(
-        lint_paths(["pkg"]), load_baseline(tmp_path / "baseline.txt")
-    )
-    assert fresh == [] and len(grandfathered) == 1
-
-
-def test_baseline_is_a_multiset(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    # two identical violations on identical lines, one baselined entry:
-    # the second occurrence must stay fresh
-    write(
-        tmp_path,
-        "pkg/mod.py",
-        "import numpy as np\nr = np.random.default_rng(0)\nr = np.random.default_rng(0)\n",
-    )
-    findings = lint_paths(["pkg"])
-    assert len(findings) == 2
-    assert fingerprint(findings[0]) == fingerprint(findings[1])
-    write_baseline(findings[:1], tmp_path / "baseline.txt")
-    fresh, grandfathered = split_baselined(
-        findings, load_baseline(tmp_path / "baseline.txt")
-    )
-    assert len(fresh) == 1 and len(grandfathered) == 1
+    assert [f.rule for f in lint_file(path)] == ["D001", "D004", "D004", "D004"]
 
 
 # ------------------------------------------------------------ CLI
@@ -174,103 +125,14 @@ def test_cli_lint_clean_exits_zero(tmp_path):
 def test_cli_lint_seeded_violation_exits_nonzero(tmp_path):
     write(tmp_path, "pkg/bad.py", VIOLATION)
     out = io.StringIO()
-    code = main(
-        ["lint", str(tmp_path / "pkg"), "--baseline", str(tmp_path / "b.txt")],
-        out=out,
-    )
+    code = main(["lint", str(tmp_path / "pkg")], out=out)
     assert code == 1
     assert "D001" in out.getvalue()
-
-
-def test_cli_write_baseline_then_clean(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "pkg/bad.py", VIOLATION)
-    baseline = str(tmp_path / "b.txt")
-    assert main(["lint", "pkg", "--baseline", baseline, "--write-baseline"],
-                out=io.StringIO()) == 0
-    out = io.StringIO()
-    assert main(["lint", "pkg", "--baseline", baseline], out=out) == 0
-    assert "baselined" in out.getvalue()
-
-
-# --------------------------------------------------- baseline pruning
-def test_stale_entries_detects_fixed_findings(tmp_path, monkeypatch):
-    from repro.analysis import stale_entries
-
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "pkg/bad.py", VIOLATION)
-    findings = lint_paths(["pkg"])
-    baseline_path = tmp_path / "b.txt"
-    write_baseline(findings, baseline_path)
-    baseline = load_baseline(baseline_path)
-    # nothing fixed yet: the baseline is tight
-    assert stale_entries(findings, baseline) == []
-    # fix the violation: every baselined fingerprint goes stale
-    write(tmp_path, "pkg/bad.py", "x = 1\n")
-    stale = stale_entries(lint_paths(["pkg"]), baseline)
-    assert stale == sorted(baseline.elements())
-    assert len(stale) == len(findings)
-
-
-def test_stale_entries_respects_multiset_multiplicity(tmp_path, monkeypatch):
-    from collections import Counter
-
-    from repro.analysis import stale_entries
-
-    monkeypatch.chdir(tmp_path)
-    # two identical violations on identical lines
-    write(
-        tmp_path,
-        "pkg/bad.py",
-        "import numpy as np\n"
-        "rng = np.random.default_rng(0)\n"
-        "rng = np.random.default_rng(0)\n",
-    )
-    findings = [f for f in lint_paths(["pkg"]) if "default_rng" in f.message]
-    assert len(findings) == 2
-    baseline = Counter({fingerprint(findings[0]): 2})
-    # both survive: nothing stale; one survives: stale exactly once
-    assert stale_entries(findings, baseline) == []
-    assert stale_entries(findings[:1], baseline) == [fingerprint(findings[0])]
-
-
-def test_cli_prune_baseline_reports_and_rewrites(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path, "pkg/bad.py", VIOLATION)
-    baseline = str(tmp_path / "b.txt")
-    assert main(["lint", "pkg", "--baseline", baseline, "--write-baseline"],
-                out=io.StringIO()) == 0
-
-    # still emitted: prune has nothing to do
-    out = io.StringIO()
-    assert main(["lint", "pkg", "--baseline", baseline, "--prune-baseline"],
-                out=out) == 0
-    assert "none stale" in out.getvalue()
-
-    # fix the violation: prune without --write fails and names the entries
-    write(tmp_path, "pkg/bad.py", "x = 1\n")
-    out = io.StringIO()
-    assert main(["lint", "pkg", "--baseline", baseline, "--prune-baseline"],
-                out=out) == 1
-    assert "stale:" in out.getvalue()
-    assert "--prune-baseline --write" in out.getvalue()
-
-    # --write rewrites the file; a second prune is clean and tight
-    out = io.StringIO()
-    assert main(
-        ["lint", "pkg", "--baseline", baseline, "--prune-baseline", "--write"],
-        out=out,
-    ) == 0
-    assert "pruned" in out.getvalue()
-    assert load_baseline(baseline) == {}
-    out = io.StringIO()
-    assert main(["lint", "pkg", "--baseline", baseline, "--prune-baseline"],
-                out=out) == 0
-    assert "none stale" in out.getvalue()
+    assert "simlint: 1 finding(s)" in out.getvalue()
 
 
 def test_repo_source_tree_is_clean():
-    # The committed baseline is empty: src/ must lint clean as-is.
+    # Nothing is grandfathered: src/ must lint clean as-is.
     import repro
 
     src_root = repro.__file__.rsplit("/", 2)[0]

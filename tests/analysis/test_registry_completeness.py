@@ -1,34 +1,31 @@
 """Registry completeness: every ``@payload`` kind surfaces everywhere.
 
-The protocol registry drives four operator-facing surfaces: the
-``repro protocol`` table (and its ``--json`` dump feeding the wire
-codec docs), the ``repro flow`` send/handle graph, and the simflow
-baseline.  A payload that exists in the registry but is missing from
-one of them is invisible to operators — exactly the drift that new
-advisory kinds (such as ``LoadShed`` and ``Backpressure``) could
-introduce silently.  These tests fail the build when:
+The protocol registry drives three operator-facing surfaces: the
+``repro protocol`` table, its ``--json`` dump feeding the wire codec
+docs, and the ``repro flow`` send/handle graph.  A payload that exists
+in the registry but is missing from one of them is invisible to
+operators — exactly the drift that new advisory kinds (such as
+``LoadShed`` and ``Backpressure``) could introduce silently.  These
+tests fail the build when:
 
 * a registered payload (or its wire kind) is absent from the
   ``repro protocol`` table or JSON dump;
 * a registered payload never makes it into the simflow graph at all
   (no send site *and* no handler — the analyzer cannot see it);
-* a fresh simflow finding appears, or the flow baseline starts
-  grandfathering a finding about a registered payload (hiding a
-  protocol gap instead of fixing it).
+* any simflow finding appears on the real tree.
 """
 
 import io
 import json
 from pathlib import Path
 
-from repro.analysis import analyze_flow, load_baseline, split_baselined
+from repro.analysis import analyze_flow
 from repro.analysis.flow import render_flow_table
 from repro.cli import main
 from repro.core.protocol import registry_items
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src" / "repro"
-FLOW_BASELINE = REPO_ROOT / "flow-baseline.txt"
 
 
 def _registry():
@@ -75,18 +72,6 @@ def test_flow_graph_and_table_cover_every_payload():
         )
 
 
-def test_flow_baseline_hides_no_registered_payload():
-    graph, findings = analyze_flow([REPO_SRC])
-    baseline = load_baseline(FLOW_BASELINE)
-    fresh, grandfathered = split_baselined(findings, baseline)
-    assert fresh == [], [f"{f.rule}: {f.message}" for f in fresh]
-    payload_names = {p.__name__ for p, _ in _registry()}
-    hidden = [
-        f
-        for f in grandfathered
-        if any(name in f.message for name in payload_names)
-    ]
-    assert hidden == [], (
-        "flow-baseline.txt grandfathers findings about registered "
-        f"payloads: {[f.message for f in hidden]}"
-    )
+def test_flow_finds_nothing_in_real_tree():
+    _, findings = analyze_flow([REPO_SRC])
+    assert findings == [], [f"{f.rule}: {f.message}" for f in findings]

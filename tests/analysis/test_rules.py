@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.analysis.linter import lint_file
 from repro.analysis.rules import RULES, all_rule_codes, is_test_path
 
@@ -663,3 +665,110 @@ def test_d014_scope_is_chord_only_and_skips_non_dict_state(tmp_path):
             return groups
     """
     assert run_lint(tmp_path, "chord/clean.py", clean) == []
+
+
+# ------------------------------------------------ the seven ban rules
+# Every banned name of D001, D002, D008, D009, D010, D012 and D013, each
+# flagged exactly once inside the rule's scope and not at all in the
+# rule's exempt paths: ``(code, in-scope path, exempt paths, sources)``.
+BANNED = [
+    ("D001", "streams/gen.py", ("sim/rng.py",), [
+        "import random",
+        "import random as rnd",
+        "from random import choice",
+        "np.random.seed(0)",
+        "np.random.default_rng(0)",
+        "np.random.RandomState(0)",
+        "numpy.random.seed(0)",
+        "numpy.random.default_rng(0)",
+        "numpy.random.RandomState(0)",
+        "random.seed(0)",
+    ]),
+    ("D002", "sim/clock.py", ("perf/clock.py",), [
+        "from time import time",
+        "from time import time_ns",
+        "from time import monotonic",
+        "from time import monotonic_ns",
+        "from time import perf_counter",
+        "from time import perf_counter_ns",
+        "from time import process_time",
+        "time.time()",
+        "time.time_ns()",
+        "time.monotonic()",
+        "time.monotonic_ns()",
+        "time.perf_counter()",
+        "time.perf_counter_ns()",
+        "time.process_time()",
+        "datetime.now()",
+        "datetime.datetime.now()",
+        "datetime.utcnow()",
+        "datetime.today()",
+        "date.today()",
+    ]),
+    ("D008", "analysis/timing.py", ("perf/harness.py", "benchmarks/bench_x.py"), [
+        "from time import perf_counter",
+        "from time import perf_counter_ns",
+        "from time import process_time",
+        "from time import process_time_ns",
+        "time.perf_counter()",
+        "time.perf_counter_ns()",
+        "time.process_time()",
+        "time.process_time_ns()",
+    ]),
+    ("D009", "workload/fanout.py", ("benchmarks/bench_x.py",), [
+        "import multiprocessing",
+        "import multiprocessing.pool",
+        "from multiprocessing import Pool",
+        "from multiprocessing.pool import ThreadPool",
+        "from os import fork",
+        "from os import forkpty",
+        "os.fork()",
+        "os.forkpty()",
+    ]),
+    ("D010", "core/roles/rogue.py", (
+        "sim/network.py", "chord/dht.py", "core/runtime.py",
+        "core/reliable.py", "workload/x.py",
+    ), [
+        "self.system.network.hop(1, 2, msg, None)",
+        "self.network.local(3, msg)",
+        "network.hop(1, 2, msg, None)",
+    ]),
+    ("D012", "core/roles/rogue.py", ("net/peer.py",), [
+        "import socket",
+        "import asyncio",
+        "import threading",
+        "import asyncio.streams",
+        "from asyncio import sleep",
+        "from socket import AF_INET",
+        "from threading import Thread",
+    ]),
+    ("D013", "core/roles/rogue.py", (
+        "core/mapping.py", "core/system.py", "perf/harness.py",
+    ), [
+        "self.system.mapper.refit(counts)",
+        "system.mapper = mapper",
+        "obj._epochs = {}",
+        "obj._edges = [0.0, 1.0]",
+        "obj._edges += [2.0]",
+        "x.mapper += 1",
+    ]),
+]
+
+BAN_CASES = [
+    (code, path, exempt, source)
+    for code, path, exempt, sources in BANNED
+    for source in sources
+]
+
+
+@pytest.mark.parametrize(
+    "code,path,exempt,source",
+    BAN_CASES,
+    ids=[f"{case[0]}:{case[3]}" for case in BAN_CASES],
+)
+def test_banned_name_flagged_once_in_scope_and_never_when_exempt(
+    tmp_path, code, path, exempt, source
+):
+    assert codes(run_lint(tmp_path, path, source + "\n")) == [code]
+    for exempt_path in exempt:
+        assert run_lint(tmp_path, exempt_path, source + "\n") == []
