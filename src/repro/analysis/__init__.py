@@ -50,14 +50,13 @@ from .invariants import (
     check_ring,
 )
 from .linter import lint_paths
-from .rules import RULES, all_rule_codes
+from .rules import RULES
 
 __all__ = [
     "Finding",
     "format_finding",
     "lint_paths",
     "RULES",
-    "all_rule_codes",
     "FLOW_RULES",
     "analyze_flow",
     "build_flow_graph",

@@ -489,10 +489,11 @@ def check_delivery_policy(system: "StreamIndexSystem") -> InvariantReport:
     handler on every live node (``Ack`` excepted — the runtime consumes
     acks before dispatch), otherwise a protocol message would fall into
     the unknown-payload fallback on some nodes but not others.  The
-    dedup seen-set must stay within ``cfg.dedup_seen_limit`` and in
+    dedup seen-set must stay within ``DEDUP_SEEN_LIMIT`` and in
     sync with its FIFO eviction queue.
     """
     from ..core.protocol import Ack, PAYLOAD_REGISTRY
+    from ..core.runtime import DEDUP_SEEN_LIMIT
 
     report = InvariantReport()
     for app in system.all_apps:
@@ -516,14 +517,13 @@ def check_delivery_policy(system: "StreamIndexSystem") -> InvariantReport:
         report.checks_run += 1
         seen = len(runtime._seen_deliveries)
         order = len(runtime._seen_order)
-        limit = system.config.dedup_seen_limit
-        if seen != order or seen > limit:
+        if seen != order or seen > DEDUP_SEEN_LIMIT:
             report.violations.append(
                 Violation(
                     "delivery",
                     label,
                     f"dedup memory inconsistent: {seen} ids vs {order} in "
-                    f"FIFO order, limit {limit}",
+                    f"FIFO order, limit {DEDUP_SEEN_LIMIT}",
                 )
             )
     return report

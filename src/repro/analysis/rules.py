@@ -28,7 +28,6 @@ __all__ = [
     "BANS",
     "RULES",
     "register",
-    "all_rule_codes",
     "str_constants",
 ]
 
@@ -43,11 +42,6 @@ def register(cls: Type["LintRule"]) -> Type["LintRule"]:
         raise ValueError(f"duplicate rule code {cls.code}")
     RULES[cls.code] = cls
     return cls
-
-
-def all_rule_codes() -> List[str]:
-    """Sorted codes of every registered rule."""
-    return sorted(RULES)
 
 
 # ----------------------------------------------------------------------

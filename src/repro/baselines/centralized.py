@@ -63,15 +63,3 @@ class CentralizedIndexSystem(BaselineSystem):
         self.network.stats.record_origination(KIND.QUERY)
         self.send(app, self.CENTER, KIND.QUERY, sub)
         return query.query_id
-
-    def center_load_share(self, duration_ms: float) -> float:
-        """Fraction of all message traffic handled by the center.
-
-        The bottleneck indicator: approaches 1 as N grows (every message
-        has the center as one endpoint).
-        """
-        per_node = self.network.stats.load_by_node()
-        total = sum(per_node.values())
-        if total == 0:
-            return 0.0
-        return per_node.get(self.CENTER, 0) / total

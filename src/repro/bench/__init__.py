@@ -1,6 +1,5 @@
 """Benchmark harness: sweeps, caching, and paper-style reporting."""
 
-from .export import run_to_csv, series_to_csv
 from .harness import DEFAULT_MEASURE_MS, PAPER_NODE_COUNTS, SweepCache
 from .report import format_histogram, format_series, format_table
 
@@ -8,8 +7,6 @@ __all__ = [
     "DEFAULT_MEASURE_MS",
     "PAPER_NODE_COUNTS",
     "SweepCache",
-    "run_to_csv",
-    "series_to_csv",
     "format_histogram",
     "format_series",
     "format_table",

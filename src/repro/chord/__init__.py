@@ -14,7 +14,7 @@ from .hashing import node_identifier, sha1_identifier, stream_identifier
 from .idspace import IdSpace, circular_distance, in_half_open_interval, in_open_interval
 from .node import ChordNode
 from .ring import ChordRing, RingError
-from .routing import LookupError_, find_successor, lookup_path, physical_hops
+from .routing import LookupError_, find_successor, lookup_path
 from .stabilize import Stabilizer
 from .vnodes import VirtualNodeMap, vnode_names
 
@@ -38,7 +38,6 @@ __all__ = [
     "LookupError_",
     "find_successor",
     "lookup_path",
-    "physical_hops",
     "Stabilizer",
     "VirtualNodeMap",
     "vnode_names",

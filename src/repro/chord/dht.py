@@ -64,10 +64,6 @@ class DhtOverlay:
         """Detach the handler (node left the system)."""
         self._apps.pop(node.node_id, None)
 
-    def app_of(self, node: ChordNode) -> Optional[DhtApp]:
-        """The application registered at ``node``, if any."""
-        return self._apps.get(node.node_id)
-
     # ------------------------------------------------------------------
     # send primitives
     # ------------------------------------------------------------------

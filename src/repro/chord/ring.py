@@ -38,6 +38,10 @@ from .idspace import IdSpace
 from .node import ChordNode
 from .vnodes import vnode_names
 
+#: backup successors each node keeps: the ring survives up to
+#: ``SUCCESSOR_LIST_LEN - 1`` consecutive simultaneous failures
+SUCCESSOR_LIST_LEN = 4
+
 __all__ = ["ChordRing", "RingError"]
 
 
@@ -143,7 +147,7 @@ class ChordRing:
     # ------------------------------------------------------------------
     # exact routing state for static membership
     # ------------------------------------------------------------------
-    def build(self, successor_list_len: int = 4) -> None:
+    def build(self) -> None:
         """Compute exact successors, predecessors and finger tables.
 
         This is the state that Chord's stabilization protocol converges
@@ -162,7 +166,7 @@ class ChordRing:
             node.predecessor = pred
             node.successor_list = [
                 self._by_id[ids[(idx + 1 + j) % n]]
-                for j in range(min(successor_list_len, n - 1))
+                for j in range(min(SUCCESSOR_LIST_LEN, n - 1))
             ]
             for i in range(self.space.m):
                 node.fingers[i] = self.successor_of_key(node.finger_start(i))
@@ -215,8 +219,3 @@ class ChordRing:
         if idx >= len(self._ids):
             idx = 0
         return self._ids[idx]
-
-    def predecessor_of(self, node: ChordNode) -> Optional[ChordNode]:
-        """Ground-truth predecessor of a member node."""
-        idx = bisect_left(self._ids, node.node_id)
-        return self._by_id[self._ids[(idx - 1) % len(self._ids)]]

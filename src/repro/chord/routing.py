@@ -38,7 +38,7 @@ from typing import List, Tuple
 from ..perf import counters as _opc
 from .node import ChordNode
 
-__all__ = ["find_successor", "lookup_path", "physical_hops", "LookupError_"]
+__all__ = ["find_successor", "lookup_path", "LookupError_"]
 
 
 class LookupError_(RuntimeError):
@@ -159,20 +159,3 @@ def lookup_path(start: ChordNode, key: int, max_hops: int = 10_000) -> List[Chor
 def find_successor(start: ChordNode, key: int) -> ChordNode:
     """The node responsible for ``key``, found by greedy routing."""
     return lookup_path(start, key)[-1]
-
-
-def physical_hops(path: List[ChordNode]) -> int:
-    """Inter-data-center hops along a lookup path (DESIGN.md §13).
-
-    Under virtual nodes a lookup path is a token sequence; consecutive
-    tokens of the same physical node are one local handoff (no WAN
-    traversal), so the physical hop count — what the paper's Fig. 6(a)
-    latency model charges 50 ms per hop for — collapses those runs.
-    Without virtual nodes every token is its own physical node and this
-    equals ``len(path) - 1`` exactly.
-    """
-    hops = 0
-    for prev, nxt in zip(path, path[1:]):
-        if nxt.physical_name != prev.physical_name:
-            hops += 1
-    return hops

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional
 from ..sim.engine import Simulator
 from ..sim.process import PeriodicProcess
 from .node import ChordNode
-from .ring import ChordRing
+from .ring import SUCCESSOR_LIST_LEN, ChordRing
 from .routing import find_successor
 
 __all__ = ["Stabilizer"]
@@ -55,9 +55,6 @@ class Stabilizer:
         queries remain available to tests.
     period_ms:
         Interval of each node's maintenance tick.
-    successor_list_len:
-        Number of backup successors each node keeps; the ring tolerates
-        up to ``len-1`` consecutive simultaneous failures.
     cohorts:
         ``0`` (default): one periodic process per node, each ticking
         every ``period_ms`` — the historical layout, byte-identical to
@@ -75,7 +72,6 @@ class Stabilizer:
         ring: ChordRing,
         *,
         period_ms: float = 500.0,
-        successor_list_len: int = 4,
         cohorts: int = 0,
     ) -> None:
         if cohorts < 0:
@@ -83,7 +79,6 @@ class Stabilizer:
         self.sim = sim
         self.ring = ring
         self.period_ms = period_ms
-        self.successor_list_len = successor_list_len
         self.cohorts = cohorts
         #: both bounded: one entry per node under maintenance
         self._procs: Dict[int, PeriodicProcess] = {}
@@ -246,7 +241,7 @@ class Stabilizer:
         succ = node.first_live_successor()
         if succ is None:
             # The whole successor list died at once (more simultaneous
-            # failures than successor_list_len - 1 covers).  Before
+            # failures than SUCCESSOR_LIST_LEN - 1 covers).  Before
             # declaring ourselves alone, scavenge any other live
             # reference — fingers, predecessor — and rebuild from the
             # nearest following one.
@@ -274,7 +269,7 @@ class Stabilizer:
         for backup in succ.successor_list:
             if backup.alive and backup is not node and backup not in fresh:
                 fresh.append(backup)
-            if len(fresh) >= self.successor_list_len:
+            if len(fresh) >= SUCCESSOR_LIST_LEN:
                 break
         node.successor_list = fresh
         if node.successor is not old_succ or fresh != old_list:

@@ -31,7 +31,7 @@ max/mean holder-load curves at ``v ∈ {1, 4, 16}``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .node import ChordNode
 
@@ -147,17 +147,3 @@ class VirtualNodeMap:
         if mean <= 0:
             return 0.0
         return max(values) / mean
-
-    # ------------------------------------------------------------------
-    # introspection helpers (used by invariants and tests)
-    # ------------------------------------------------------------------
-    def grouped_tokens(
-        self, nodes: Iterable[ChordNode]
-    ) -> Dict[str, List[ChordNode]]:
-        """Group live ring nodes by physical name (falls back to the
-        node's own ``physical_name`` for tokens never registered)."""
-        groups: Dict[str, List[ChordNode]] = {}
-        for node in nodes:
-            phys = self._physical_of.get(node.node_id, node.physical_name)
-            groups.setdefault(phys, []).append(node)
-        return groups

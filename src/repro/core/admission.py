@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["TokenBucket", "AdmissionController"]
+__all__ = ["TokenBucket", "AdmissionController", "ADMISSION_BURST"]
+
+#: bucket depth: publishes a quiet holder absorbs at once without shedding
+ADMISSION_BURST = 10.0
 
 
 class TokenBucket:
@@ -64,16 +67,17 @@ class TokenBucket:
 class AdmissionController:
     """Per-holder admission policy: one bucket plus advisory pacing.
 
-    ``admit`` gates each arriving publish.  ``should_advise`` rate-limits
+    ``admit`` gates each arriving publish against a bucket of depth
+    :data:`ADMISSION_BURST`.  ``should_advise`` rate-limits
     ``Backpressure`` advisories per source so a sustained overload does
     not itself become a message storm: at most one advisory per source
     per ``advise_interval_ms``.  ``slow_down_ms`` is the cadence the
     holder suggests — the bucket's steady-state inter-admission gap.
     """
 
-    def __init__(self, rate_per_s: float, burst: float, *, enabled: bool = True) -> None:
+    def __init__(self, rate_per_s: float, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.bucket = TokenBucket(rate_per_s, burst)
+        self.bucket = TokenBucket(rate_per_s, ADMISSION_BURST)
         #: suggested inter-publish gap at the sustainable rate
         self.slow_down_ms = 1000.0 / rate_per_s
         #: minimum spacing between advisories to the same source

@@ -91,8 +91,6 @@ class MiddlewareConfig:
         ways (the Sec. IV-C/VI extension that halves propagation delay).
     hop_delay_ms:
         Constant per-hop routing latency (non-negative).
-    successor_list_len:
-        Chord successor-list length (fault tolerance).
     adaptive_mbr:
         Use the Sec. VI-A adaptive precision batcher (with its own
         default width cap and target span) instead of plain count
@@ -107,15 +105,9 @@ class MiddlewareConfig:
         Acknowledge critical control-plane messages (MBR publishes,
         subscribes, registrations, window requests) and retransmit on
         timeout.  Off by default: the paper's fabric is lossless, so
-        acks would only add traffic to the reproduced figures.
-    ack_timeout_ms:
-        Base retransmission timeout; doubled (``retry_backoff``) per
-        attempt with up to ``retry_jitter_ms`` of uniform jitter.
-    retry_max:
-        Retry budget; messages still unacknowledged after it land in
-        the dead-letter counter.
-    retry_backoff / retry_jitter_ms:
-        Exponential-backoff multiplier and jitter bound.
+        acks would only add traffic to the reproduced figures.  The
+        timeouts and retry budget are constants of
+        :mod:`repro.core.reliable`.
     refresh_period_ms:
         Soft-state healing period: sources periodically re-register
         streams, re-publish their freshest unexpired MBR, and clients
@@ -132,11 +124,6 @@ class MiddlewareConfig:
         paper's semantics) or ``"quorum"`` (a match is released only
         once ``ceil((r + 1) / 2)`` replica holders report the same
         version of the stream's MBR; stale reporters get read-repaired).
-    dedup_seen_limit:
-        Per-node bound on remembered delivery ids for receive-side
-        duplicate suppression (FIFO eviction once full).  Sized so ids
-        outlive the retry window: an id evicted while its sender still
-        retransmits would let a duplicate through as a fresh delivery.
     loss_rate / duplicate_rate:
         Convenience fault knobs: when either is non-zero (and no
         explicit :class:`~repro.sim.faults.FaultPlan` is given to the
@@ -158,9 +145,9 @@ class MiddlewareConfig:
         rate-limited ``Backpressure`` advisory slows the source's
         publish cadence.  Reliability is unaffected — sheds happen
         after the delivery ack, so ``eventual_delivery_ratio`` stays 1.
-    admission_rate_per_s / admission_burst:
-        Token-bucket refill rate (MBR publishes per second a holder
-        accepts sustained) and bucket depth (burst tolerance).
+    admission_rate_per_s:
+        Token-bucket refill rate: MBR publishes per second a holder
+        accepts sustained.
     workload:
         The Table I parameters.
     """
@@ -173,25 +160,18 @@ class MiddlewareConfig:
     query_radius: float = 0.1
     multicast: str = "sequential"
     hop_delay_ms: float = 50.0
-    successor_list_len: int = 4
     adaptive_mbr: bool = False
     hierarchy: bool = False
     hierarchy_radius_threshold: float = 0.25
     reliable_delivery: bool = False
-    ack_timeout_ms: float = 400.0
-    retry_max: int = 5
-    retry_backoff: float = 2.0
-    retry_jitter_ms: float = 40.0
     refresh_period_ms: float = 0.0
     replication_factor: int = 1
     consistency: str = "eventual"
-    dedup_seen_limit: int = 8192
     loss_rate: float = 0.0
     duplicate_rate: float = 0.0
     virtual_nodes: int = 1
     admission_control: bool = False
     admission_rate_per_s: float = 20.0
-    admission_burst: float = 10.0
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
 
     def __post_init__(self) -> None:
@@ -209,22 +189,12 @@ class MiddlewareConfig:
             raise ValueError("hop_delay_ms must be non-negative")
         if not (0.0 < self.hierarchy_radius_threshold <= 2.0):
             raise ValueError("hierarchy_radius_threshold must be in (0, 2]")
-        if self.ack_timeout_ms <= 0:
-            raise ValueError("ack_timeout_ms must be positive")
-        if self.retry_max < 0:
-            raise ValueError("retry_max must be non-negative")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-        if self.retry_jitter_ms < 0:
-            raise ValueError("retry_jitter_ms must be non-negative")
         if self.refresh_period_ms < 0:
             raise ValueError("refresh_period_ms must be non-negative")
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
         if self.consistency not in ("eventual", "quorum"):
             raise ValueError(f"unknown consistency mode {self.consistency!r}")
-        if self.dedup_seen_limit < 1:
-            raise ValueError("dedup_seen_limit must be >= 1")
         for name, rate in (("loss_rate", self.loss_rate),
                            ("duplicate_rate", self.duplicate_rate)):
             if not (0.0 <= rate < 1.0):
@@ -233,8 +203,6 @@ class MiddlewareConfig:
             raise ValueError("virtual_nodes must be >= 1")
         if self.admission_rate_per_s <= 0:
             raise ValueError("admission_rate_per_s must be positive")
-        if self.admission_burst < 1:
-            raise ValueError("admission_burst must be >= 1")
 
     @property
     def duplicates_possible(self) -> bool:

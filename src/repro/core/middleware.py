@@ -30,9 +30,7 @@ the Eq. 7 inverse transform.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Tuple
 
 from ..chord.node import ChordNode
 from ..sim.network import Message
@@ -113,10 +111,6 @@ class StreamIndexNode:
         """Ingest the next value of a locally attached stream."""
         self.runtime.source.on_stream_value(stream_id)
 
-    def publish_mbr(self, mbr) -> None:
-        """Route one MBR of summaries to its key range (Sec. IV-B/G)."""
-        self.runtime.source.publish_mbr(mbr)
-
     # ------------------------------------------------------------------
     # client role
     # ------------------------------------------------------------------
@@ -127,12 +121,6 @@ class StreamIndexNode:
     def post_inner_product_query(self, query: InnerProductQuery) -> int:
         """Post a continuous inner-product query (Sec. IV-D); returns its id."""
         return self.runtime.client.post_inner_product_query(query)
-
-    def fetch_window(
-        self, stream_id: str, callback: Callable[[Optional[np.ndarray]], None]
-    ) -> int:
-        """Fetch a stream's current raw window from its source node."""
-        return self.runtime.client.fetch_window(stream_id, callback)
 
     def verify_similarity(
         self,

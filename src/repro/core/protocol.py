@@ -35,7 +35,6 @@ __all__ = [
     "KNOWN_KINDS",
     "KNOWN_ROLES",
     "RUNTIME_ROLE",
-    "is_known_kind",
     "PayloadSpec",
     "PAYLOAD_REGISTRY",
     "payload",
@@ -159,11 +158,6 @@ all traffic flows through :meth:`repro.sim.network.Network.hop` under
 one of these kinds, so no message can dodge the per-kind counters.  The
 ``simlint`` D005 rule statically rejects kind literals outside this set.
 """
-
-
-def is_known_kind(kind: str) -> bool:
-    """Whether ``kind`` is a declared accounting category."""
-    return kind in KNOWN_KINDS
 
 
 RUNTIME_ROLE = "(runtime)"

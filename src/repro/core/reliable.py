@@ -9,11 +9,16 @@ registrations, and window requests — gets a thin reliability layer:
   (:func:`repro.core.protocol.next_delivery_id`);
 * the receiver acknowledges it (or, for request/reply exchanges, the
   reply itself settles the exchange);
-* the sender arms a retransmission timer with capped exponential
-  backoff plus uniform jitter; expiry re-sends the *same payload* (same
-  delivery id, so receivers can deduplicate) in a fresh overlay message;
-* after ``retry_max`` unacknowledged attempts the payload lands in the
-  dead-letter counter instead of vanishing silently.
+* the sender arms a retransmission timer: attempt ``a`` (0 for the
+  first send) waits ``ACK_TIMEOUT_MS * RETRY_BACKOFF ** a`` plus uniform
+  jitter below ``RETRY_JITTER_MS``; expiry re-sends the *same payload*
+  (same delivery id, so receivers can deduplicate) in a fresh overlay
+  message;
+* the backoff is not capped, only the number of retransmissions: when
+  the ``RETRY_MAX``-th retransmission also times out, the payload lands
+  in the dead-letter counter instead of vanishing silently.  With the
+  constants below that is 400 + 800 + ... + 12,800 = 25,200 ms after
+  the first send, plus up to 6 * 40 = 240 ms of jitter.
 
 The whole layer is a no-op when ``MiddlewareConfig.reliable_delivery``
 is off (the paper's lossless fabric), so the reproduced figures carry no
@@ -28,7 +33,22 @@ from typing import Callable, Dict, Optional
 
 from ..net.transport import TransportHandle
 
-__all__ = ["ReliableSender"]
+__all__ = [
+    "ReliableSender",
+    "ACK_TIMEOUT_MS",
+    "RETRY_MAX",
+    "RETRY_BACKOFF",
+    "RETRY_JITTER_MS",
+]
+
+#: timeout of the first send, in ms
+ACK_TIMEOUT_MS = 400.0
+#: retransmissions before the payload is a dead letter
+RETRY_MAX = 5
+#: timeout multiplier per retransmission
+RETRY_BACKOFF = 2.0
+#: bound of the uniform jitter added to every timeout, in ms
+RETRY_JITTER_MS = 40.0
 
 
 @dataclass
@@ -50,9 +70,8 @@ class _Pending:
 class ReliableSender:
     """Per-node retransmission state machine.
 
-    Owned by one :class:`~repro.core.middleware.StreamIndexNode`;
-    reads its timeout/backoff knobs from the shared
-    :class:`~repro.core.config.MiddlewareConfig`.
+    Owned by one :class:`~repro.core.runtime.NodeRuntime`; its timing
+    is the module constants above.
     """
 
     def __init__(self, app) -> None:
@@ -61,10 +80,6 @@ class ReliableSender:
         self._rng = None  # lazy: named substream keyed by node id
 
     # ------------------------------------------------------------------
-    @property
-    def _cfg(self):
-        return self.app.cfg
-
     @property
     def _transport(self):
         return self.app.transport
@@ -83,11 +98,9 @@ class ReliableSender:
         return sum(1 for p in self._pending.values() if p.stats is stats)
 
     def _jitter(self) -> float:
-        if self._cfg.retry_jitter_ms <= 0:
-            return 0.0
         if self._rng is None:
             self._rng = self.app.system.rngs.get(f"retry/{self.app.node_id}")
-        return float(self._rng.uniform(0.0, self._cfg.retry_jitter_ms))
+        return float(self._rng.uniform(0.0, RETRY_JITTER_MS))
 
     # ------------------------------------------------------------------
     # sender side
@@ -106,7 +119,7 @@ class ReliableSender:
         fires once if the retry budget is exhausted.  No-op unless
         reliable delivery is enabled and the payload carries an id.
         """
-        if not self._cfg.reliable_delivery:
+        if not self.app.cfg.reliable_delivery:
             return
         delivery_id = getattr(payload, "delivery_id", -1)
         if delivery_id < 0:
@@ -123,10 +136,7 @@ class ReliableSender:
         self._arm(pending)
 
     def _arm(self, pending: _Pending) -> None:
-        timeout = (
-            self._cfg.ack_timeout_ms * self._cfg.retry_backoff ** pending.attempts
-            + self._jitter()
-        )
+        timeout = ACK_TIMEOUT_MS * RETRY_BACKOFF ** pending.attempts + self._jitter()
         pending.handle = self._transport.schedule(
             timeout, self._on_timeout, pending.delivery_id
         )
@@ -140,7 +150,7 @@ class ReliableSender:
             # node must not keep retransmitting from beyond the grave
             self.cancel_all()
             return
-        if pending.attempts >= self._cfg.retry_max:
+        if pending.attempts >= RETRY_MAX:
             del self._pending[delivery_id]
             pending.stats.record_dead_letter(pending.kind)
             if pending.on_give_up is not None:

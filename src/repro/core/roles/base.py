@@ -161,14 +161,3 @@ class DispatchTable:
         """The bound handler for a payload type, or ``None``."""
         return self._handlers.get(payload_type)
 
-    def handled_types(self) -> List[Type]:
-        """Every payload type with a bound handler (registration order)."""
-        return list(self._handlers)
-
-    def role_of(self, payload_type: Type) -> Optional[str]:
-        """The role name handling a payload type, or ``None``."""
-        handler = self._handlers.get(payload_type)
-        if handler is None:
-            return None
-        service = getattr(handler, "__self__", None)
-        return getattr(service, "role", None)

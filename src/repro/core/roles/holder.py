@@ -56,9 +56,7 @@ class IndexHolderService(RoleService):
         #: token-bucket publish gate (DESIGN.md §13); every call is a
         #: no-op returning True while admission_control is off
         self.admission = AdmissionController(
-            self.cfg.admission_rate_per_s,
-            self.cfg.admission_burst,
-            enabled=self.cfg.admission_control,
+            self.cfg.admission_rate_per_s, enabled=self.cfg.admission_control
         )
 
     # ------------------------------------------------------------------

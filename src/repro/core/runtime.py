@@ -30,17 +30,23 @@ from ..sim.network import Message
 from .protocol import KIND, Ack, PayloadSpec, next_delivery_id, spec_of
 from .reliable import ReliableSender
 from .roles.aggregator import AggregatorService
-from .roles.base import DispatchTable, RoleService
+from .roles.base import DispatchTable
 from .roles.client import ClientService
 from .roles.holder import IndexHolderService
 from .roles.source import SourceService
 
-__all__ = ["NodeRuntime", "DEFAULT_SERVICES"]
+__all__ = ["NodeRuntime", "DEFAULT_SERVICES", "DEDUP_SEEN_LIMIT"]
 
 #: sender attribution for the ``repro flow`` static analyzer: payloads
 #: put on the wire by this module (delivery acks) originate from the
 #: dispatch layer itself, not from any Fig. 5 role
 FLOW_ROLE = "(runtime)"
+
+#: per-node bound on remembered delivery ids for receive-side duplicate
+#: suppression (FIFO eviction once full).  Sized so ids outlive the
+#: retry window: an id evicted while its sender still retransmits would
+#: let a duplicate through as a fresh delivery.
+DEDUP_SEEN_LIMIT = 8192
 
 #: the Fig. 5 role set, in tick fan-out order: the notification tick
 #: must run purge/report (holder) -> response push (aggregator) ->
@@ -58,7 +64,7 @@ DEFAULT_SERVICES = (
 class NodeRuntime:
     """Dispatch, delivery policy, reliability and ticks for one node."""
 
-    def __init__(self, node: ChordNode, system, services=DEFAULT_SERVICES) -> None:
+    def __init__(self, node: ChordNode, system) -> None:
         self.node = node
         self.system = system
         self.cfg = system.config
@@ -78,7 +84,7 @@ class NodeRuntime:
         self._seen_order: Deque[Tuple[int, int]] = deque()
         self.dispatch = DispatchTable()
         self.roles = {}
-        for service_cls in services:
+        for service_cls in DEFAULT_SERVICES:
             svc = self.dispatch.add_service(service_cls(self))
             self.roles[svc.role] = svc
         #: flattened hot-path dispatch memo: payload type -> (spec, bound
@@ -110,10 +116,6 @@ class NodeRuntime:
     def stats(self):
         """The transport's :class:`MessageStats` accounting object."""
         return self.transport.stats
-
-    def role(self, name: str) -> RoleService:
-        """The role service registered under ``name``."""
-        return self.roles[name]
 
     # named accessors for the default Fig. 5 role set
     @property
@@ -216,7 +218,7 @@ class NodeRuntime:
             return True
         self._seen_deliveries.add(key)
         self._seen_order.append(key)
-        if len(self._seen_order) > self.cfg.dedup_seen_limit:
+        if len(self._seen_order) > DEDUP_SEEN_LIMIT:
             self._seen_deliveries.discard(self._seen_order.popleft())
         return False
 

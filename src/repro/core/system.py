@@ -104,7 +104,7 @@ class StreamIndexSystem:
                 f"dc-{i}", self.config.virtual_nodes
             ):
                 self.vmap.register(node)
-        self.ring.build(self.config.successor_list_len)
+        self.ring.build()
         self.overlay = DhtOverlay(self.ring, self.network)
         self.mapper = mapper if mapper is not None else LinearKeyMapper(self.ring.space)
         self.multicast = RangeMulticast(self.overlay, self.config.multicast)
@@ -118,11 +118,7 @@ class StreamIndexSystem:
         )
         self.stabilizer: Optional[Stabilizer] = None
         if with_stabilizer:
-            self.stabilizer = Stabilizer(
-                self.sim,
-                self.ring,
-                successor_list_len=self.config.successor_list_len,
-            )
+            self.stabilizer = Stabilizer(self.sim, self.ring)
             self.stabilizer.bootstrap_ring(list(self.ring))
             # anti-entropy / hinted-handoff (§10) piggybacks on the
             # per-node stabilization round; the hook stays None at r = 1

@@ -298,7 +298,7 @@ class PeerNode:
             )
         self.ring = ChordRing(m=self.config.m)
         self.node = self.ring.create_node(name)
-        self.ring.build(self.config.successor_list_len)
+        self.ring.build()
         #: member name -> (host, port); always includes ourselves
         self.members: Dict[str, Addr] = {name: (host, port)}
         self._node_by_name: Dict[str, ChordNode] = {name: self.node}
@@ -331,9 +331,6 @@ class PeerNode:
             self._loop = asyncio.get_running_loop()
         return self._loop
 
-    def member_addr(self, node_id: int) -> Optional[Addr]:
-        return self._addr_of.get(node_id)
-
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
@@ -349,7 +346,7 @@ class PeerNode:
                 self._node_by_name[name] = self.ring.create_node(name)
             self._addr_of[self._node_by_name[name].node_id] = addr
         if changed or len(self._node_by_name) != len(self.ring):
-            self.ring.build(self.config.successor_list_len)
+            self.ring.build()
 
     def _drop_member(self, name: str) -> None:
         if name == self.name or name not in self.members:
@@ -358,7 +355,7 @@ class PeerNode:
         node = self._node_by_name.pop(name)
         del self._addr_of[node.node_id]
         self.ring.remove(node)
-        self.ring.build(self.config.successor_list_len)
+        self.ring.build()
         link = self._links.pop(addr, None)
         if link is not None:
             link.task.cancel()  # its finally closes the connection

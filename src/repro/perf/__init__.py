@@ -19,12 +19,11 @@ Wall time, memory and throughput are measured by the reference
 benchmark in ``benchmarks/suite/`` (see its README.md).
 """
 
-from .counters import OpCounters, counting, install, installed, uninstall
+from .counters import OpCounters, counting, install, uninstall
 
 __all__ = [
     "OpCounters",
     "counting",
     "install",
-    "installed",
     "uninstall",
 ]

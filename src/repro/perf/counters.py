@@ -37,7 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-__all__ = ["OpCounters", "ACTIVE", "install", "uninstall", "installed", "counting"]
+__all__ = ["OpCounters", "ACTIVE", "install", "uninstall", "counting"]
 
 
 class OpCounters:
@@ -92,11 +92,6 @@ def uninstall() -> Optional[OpCounters]:
     global ACTIVE
     active, ACTIVE = ACTIVE, None
     return active
-
-
-def installed() -> Optional[OpCounters]:
-    """The active sink without side effects (``None`` when off)."""
-    return ACTIVE
 
 
 @contextmanager

@@ -275,12 +275,6 @@ class MessageStats:
         total, count = self.latency_by_kind.get(kind, (0.0, 0))
         return total / count if count else 0.0
 
-    def node_load(self, node: int) -> int:
-        """Total messages sent plus received by ``node``."""
-        s = sum(v for (n, _k), v in self.sends.items() if n == node)
-        r = sum(v for (n, _k), v in self.receives.items() if n == node)
-        return s + r
-
     def load_by_node(self) -> Dict[int, int]:
         """Sends+receives per node, for the Fig. 6(b) distribution."""
         load: Dict[int, int] = defaultdict(int)
@@ -289,10 +283,6 @@ class MessageStats:
         for (n, _k), v in self.receives.items():
             load[n] += v
         return dict(load)
-
-    def sends_per_kind_node_mean(self, n_nodes: int) -> Dict[str, float]:
-        """Average number of sends per node, broken down by kind."""
-        return {k: v / n_nodes for k, v in self.sends_by_kind.items()}
 
     def total_drops(self) -> int:
         """Messages lost in flight, all kinds and reasons combined."""

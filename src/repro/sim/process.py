@@ -69,12 +69,6 @@ class PeriodicProcess:
         """Current base period in milliseconds."""
         return self._period
 
-    def set_period(self, period: float) -> None:
-        """Change the period; takes effect from the next tick."""
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period!r}")
-        self._period = period
-
     def start(self) -> "PeriodicProcess":
         """Schedule the first tick.  Returns ``self`` for chaining."""
         if self._running:

@@ -26,7 +26,7 @@ from .features import (
     feature_distance,
 )
 from .generators import HostLoadGenerator, RandomWalkGenerator, StockGenerator
-from .model import DataStream, SlidingWindow, StreamPoint
+from .model import SlidingWindow
 from .wavelets import (
     HaarFeatureExtractor,
     haar_transform,
@@ -59,9 +59,7 @@ __all__ = [
     "HostLoadGenerator",
     "RandomWalkGenerator",
     "StockGenerator",
-    "DataStream",
     "SlidingWindow",
-    "StreamPoint",
     "HaarFeatureExtractor",
     "haar_transform",
     "inverse_haar_transform",

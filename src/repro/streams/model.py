@@ -3,28 +3,16 @@
 Sec. III-A: a data stream is an ordered sequence of points whose values
 lie in a bounded range; only the most recent ``n`` values matter (the
 "sliding window" model).  :class:`SlidingWindow` is the O(1)-append ring
-buffer every data center keeps per stream; :class:`StreamPoint` and
-:class:`DataStream` give streams an identity and a timeline.
+buffer every data center keeps per stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["SlidingWindow", "StreamPoint", "DataStream"]
-
-
-@dataclass(frozen=True)
-class StreamPoint:
-    """One observation of a stream: ``(stream_id, seq, time, value)``."""
-
-    stream_id: str
-    seq: int
-    time: float
-    value: float
+__all__ = ["SlidingWindow"]
 
 
 class SlidingWindow:
@@ -56,11 +44,6 @@ class SlidingWindow:
         """Whether the window holds ``size`` values."""
         return self._count >= self.size
 
-    @property
-    def total_appended(self) -> int:
-        """Number of values ever appended (not capped at ``size``)."""
-        return self._count
-
     def append(self, value: float) -> Optional[float]:
         """Add a value; return the evicted (oldest) value if the window was full."""
         evicted: Optional[float] = None
@@ -70,11 +53,6 @@ class SlidingWindow:
         self._head = (self._head + 1) % self.size
         self._count += 1
         return evicted
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Append many values (evictions are discarded)."""
-        for v in values:
-            self.append(v)
 
     def values(self) -> np.ndarray:
         """The window contents, oldest first, as a fresh contiguous array."""
@@ -95,31 +73,3 @@ class SlidingWindow:
         if self._count == 0:
             raise IndexError("window is empty")
         return float(self._buf[(self._head - 1) % self.size])
-
-
-class DataStream:
-    """A named stream feeding a sliding window.
-
-    This is the object a data center keeps for each locally attached
-    sensor: it tracks the sequence number and timestamps of arrivals and
-    maintains the window the summaries are computed over.
-    """
-
-    def __init__(self, stream_id: str, window_size: int) -> None:
-        self.stream_id = stream_id
-        self.window = SlidingWindow(window_size)
-        self.seq = 0
-        self.last_time = float("-inf")
-
-    def ingest(self, value: float, time: float = 0.0) -> StreamPoint:
-        """Record a new observation and slide the window."""
-        point = StreamPoint(self.stream_id, self.seq, time, float(value))
-        self.window.append(float(value))
-        self.seq += 1
-        self.last_time = time
-        return point
-
-    @property
-    def ready(self) -> bool:
-        """Whether enough values arrived to fill one window."""
-        return self.window.full

@@ -89,7 +89,7 @@ def test_churn_with_stabilizer_converges_to_exact_routing():
     ring = ChordRing(m=16)
     nodes = [ring.create_node(f"dc-{i}") for i in range(16)]
     ring.build()
-    stab = Stabilizer(sim, ring, successor_list_len=4)
+    stab = Stabilizer(sim, ring)
     stab.bootstrap_ring(list(ring))
 
     # Warm memos, then churn: two failures, one graceful leave, one join.

@@ -136,7 +136,7 @@ def test_mass_failure_beyond_successor_list_recovers():
     rebuild the ring rather than declaring themselves alone."""
     sim, ring, stab = build(20)
     ids = ring.node_ids[:]
-    for nid in ids[3:9]:  # six consecutive failures > successor_list_len - 1
+    for nid in ids[3:9]:  # six consecutive failures > SUCCESSOR_LIST_LEN - 1
         stab.fail(ring.node(nid))
     stab.stabilize_until_converged()
     assert len(ring) == 14

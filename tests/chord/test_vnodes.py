@@ -1,5 +1,7 @@
 """Virtual nodes (DESIGN.md §13): naming, bookkeeping, per-physical ownership."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.invariants import check_physical_ownership
@@ -170,9 +172,9 @@ def test_churn_fuzz_preserves_physical_invariants():
         system.stabilizer.stabilize_until_converged()
 
         # every surviving physical node still has all of its tokens live
-        groups = system.vmap.grouped_tokens(list(system.ring))
-        for phys, tokens in groups.items():
-            assert len(tokens) == 2, f"{phys} lost a token independently"
+        tokens = Counter(node.physical_name for node in system.ring)
+        for phys, count in tokens.items():
+            assert count == 2, f"{phys} lost a token independently"
         # the union of per-physical arcs still partitions the circle
         report = check_physical_ownership(system.ring)
         live_violations = [

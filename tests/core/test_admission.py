@@ -11,6 +11,7 @@ freshness for stability, never correctness.  With the feature disabled
 import pytest
 
 from repro.core import MiddlewareConfig, StreamIndexSystem, WorkloadConfig
+from repro.core import admission
 from repro.core.admission import AdmissionController, TokenBucket
 
 
@@ -71,12 +72,13 @@ def test_token_bucket_validation():
 # AdmissionController
 # ----------------------------------------------------------------------
 def test_disabled_controller_admits_everything():
-    ctl = AdmissionController(rate_per_s=1.0, burst=1, enabled=False)
+    ctl = AdmissionController(rate_per_s=1.0, enabled=False)
     assert all(ctl.admit(float(t)) for t in range(100))
 
 
-def test_enabled_controller_enforces_rate():
-    ctl = AdmissionController(rate_per_s=2.0, burst=2, enabled=True)
+def test_enabled_controller_enforces_rate(monkeypatch):
+    monkeypatch.setattr(admission, "ADMISSION_BURST", 2.0)
+    ctl = AdmissionController(rate_per_s=2.0, enabled=True)
     admitted = sum(1 for t in range(100) if ctl.admit(t * 100.0))
     # 10 s at 2/s plus the initial burst of 2
     assert admitted <= 2 + 2 * 10
@@ -84,7 +86,7 @@ def test_enabled_controller_enforces_rate():
 
 
 def test_should_advise_rate_limits_per_source():
-    ctl = AdmissionController(rate_per_s=10.0, burst=1, enabled=True)
+    ctl = AdmissionController(rate_per_s=10.0, enabled=True)
     assert ctl.should_advise("src-a", 0.0)
     assert not ctl.should_advise("src-a", 1.0)  # advised just now
     assert ctl.should_advise("src-b", 1.0)  # independent per source
@@ -105,10 +107,9 @@ def overload_system(**kw):
     return system
 
 
-def test_admission_sheds_and_throttles_sources():
-    system = overload_system(
-        admission_control=True, admission_rate_per_s=2.0, admission_burst=2
-    )
+def test_admission_sheds_and_throttles_sources(monkeypatch):
+    monkeypatch.setattr(admission, "ADMISSION_BURST", 2.0)
+    system = overload_system(admission_control=True, admission_rate_per_s=2.0)
     stats = system.network.stats
     assert sum(stats.publishes_shed.values()) > 0
     assert sum(stats.backpressure_signals.values()) > 0
@@ -119,10 +120,9 @@ def test_admission_sheds_and_throttles_sources():
     assert system.eventual_delivery_ratio() == 1.0
 
 
-def test_admission_slows_publish_rate_at_the_holder():
-    throttled = overload_system(
-        admission_control=True, admission_rate_per_s=2.0, admission_burst=2
-    )
+def test_admission_slows_publish_rate_at_the_holder(monkeypatch):
+    monkeypatch.setattr(admission, "ADMISSION_BURST", 2.0)
+    throttled = overload_system(admission_control=True, admission_rate_per_s=2.0)
     free = overload_system()
     from repro.core.protocol import KIND
 

@@ -87,11 +87,15 @@ def test_config_is_frozen():
         cfg.m = 16  # type: ignore[misc]
 
 
-def _knob_rows():
-    """Field names in the first table of KNOBS.md (one row per knob)."""
+def _knob_rows(verdict=r"[^|]*"):
+    """Field names in the first table of KNOBS.md (one row per knob).
+
+    ``verdict`` (a regex) keeps only the rows whose verdict matches it.
+    """
     text = (pathlib.Path(__file__).resolve().parents[2] / "KNOBS.md").read_text()
     section = text.split("\n## ")[1]
-    return re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    row = rf"^\| `(\w+)` \|[^|]*\|[^|]*\| {verdict} \|"
+    return re.findall(row, section, flags=re.MULTILINE)
 
 
 def test_knobs_ledger_has_one_row_per_config_field():
@@ -101,3 +105,9 @@ def test_knobs_ledger_has_one_row_per_config_field():
     fields = {f.name for f in dataclasses.fields(MiddlewareConfig)}
     fields |= {f.name for f in dataclasses.fields(WorkloadConfig)}
     assert set(rows) == fields
+
+
+def test_knobs_ledger_has_no_unexercised_field():
+    """A field that no caller outside the tests sets is a constant, not a knob."""
+    assert _knob_rows(), "KNOBS.md config table not found"
+    assert _knob_rows(r"\*unexercised\*") == []

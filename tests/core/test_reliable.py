@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core import KIND, MBR, MiddlewareConfig, StreamIndexSystem, WorkloadConfig
+from repro.core import reliable
 from repro.core.protocol import (
     MbrPublish,
     ResponsePush,
@@ -43,16 +44,15 @@ class _FakeTransport:
         return self._network.stats
 
 
-def make_sender(**cfg_kw):
-    defaults = dict(
-        reliable_delivery=True,
-        ack_timeout_ms=100.0,
-        retry_max=3,
-        retry_backoff=2.0,
-        retry_jitter_ms=0.0,
-    )
-    defaults.update(cfg_kw)
-    cfg = MiddlewareConfig(**defaults)
+def make_sender(monkeypatch, reliable_delivery=True, **timing):
+    """A sender with timeout 100 ms, backoff 2, 3 retries and no jitter.
+
+    ``timing`` overrides those module constants by name.
+    """
+    timing = {"ACK_TIMEOUT_MS": 100.0, "RETRY_MAX": 3, "RETRY_JITTER_MS": 0.0, **timing}
+    for name, value in timing.items():
+        monkeypatch.setattr(reliable, name, value)
+    cfg = MiddlewareConfig(reliable_delivery=reliable_delivery)
     sim = Simulator()
     network = SimpleNamespace(stats=MessageStats())
     system = SimpleNamespace(
@@ -74,22 +74,22 @@ def make_sender(**cfg_kw):
     return sim, app, ReliableSender(app)
 
 
-def test_track_noop_when_reliability_off():
-    sim, app, sender = make_sender(reliable_delivery=False)
+def test_track_noop_when_reliability_off(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch, reliable_delivery=False)
     sender.track(SimpleNamespace(delivery_id=1), "mbr", lambda: None)
     assert sender.pending_count == 0
     assert sum(app.system.network.stats.reliable_sends.values()) == 0
 
 
-def test_track_noop_without_delivery_id():
-    sim, app, sender = make_sender()
+def test_track_noop_without_delivery_id(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch)
     sender.track(SimpleNamespace(delivery_id=-1), "mbr", lambda: None)
     sender.track(object(), "mbr", lambda: None)  # no attribute at all
     assert sender.pending_count == 0
 
 
-def test_ack_cancels_retransmission():
-    sim, app, sender = make_sender()
+def test_ack_cancels_retransmission(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch)
     resends = []
     sender.track(SimpleNamespace(delivery_id=1), "mbr", lambda: resends.append(sim.now))
     sim.schedule(50.0, sender.on_ack, 1)
@@ -102,8 +102,8 @@ def test_ack_cancels_retransmission():
     assert stats.delivery_ratio("mbr") == 1.0
 
 
-def test_retransmits_with_exponential_backoff_then_dead_letters():
-    sim, app, sender = make_sender()  # timeout 100, backoff 2, max 3
+def test_retransmits_with_exponential_backoff_then_dead_letters(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch)  # timeout 100, backoff 2, max 3
     resends, gave_up = [], []
     sender.track(
         SimpleNamespace(delivery_id=1),
@@ -122,8 +122,8 @@ def test_retransmits_with_exponential_backoff_then_dead_letters():
     assert stats.delivery_ratio("query") == 0.0
 
 
-def test_settle_by_reply_equivalent_to_ack():
-    sim, app, sender = make_sender()
+def test_settle_by_reply_equivalent_to_ack(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch)
     sender.track(SimpleNamespace(delivery_id=9), "query", lambda: None)
     sender.settle(9)
     sim.run()
@@ -131,8 +131,8 @@ def test_settle_by_reply_equivalent_to_ack():
     assert sender.pending_count == 0
 
 
-def test_duplicate_ack_counted_once():
-    sim, app, sender = make_sender()
+def test_duplicate_ack_counted_once(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch)
     sender.track(SimpleNamespace(delivery_id=2), "mbr", lambda: None)
     sender.on_ack(2)
     sender.on_ack(2)  # retransmitted ack of an already-settled exchange
@@ -140,8 +140,8 @@ def test_duplicate_ack_counted_once():
     assert app.system.network.stats.reliable_acked["mbr"] == 1
 
 
-def test_dead_sender_cancels_pending_without_dead_letter():
-    sim, app, sender = make_sender()
+def test_dead_sender_cancels_pending_without_dead_letter(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch)
     resends = []
     sender.track(SimpleNamespace(delivery_id=3), "mbr", lambda: resends.append(sim.now))
     app.node.alive = False
@@ -155,9 +155,9 @@ def test_dead_sender_cancels_pending_without_dead_letter():
     assert stats.eventual_delivery_ratio() == 1.0
 
 
-def test_jitter_spreads_timeouts_deterministically():
+def test_jitter_spreads_timeouts_deterministically(monkeypatch):
     def run():
-        sim, app, sender = make_sender(retry_jitter_ms=40.0, retry_max=1)
+        sim, app, sender = make_sender(monkeypatch, RETRY_JITTER_MS=40.0, RETRY_MAX=1)
         resends = []
         sender.track(
             SimpleNamespace(delivery_id=1), "mbr", lambda: resends.append(sim.now)
@@ -170,8 +170,8 @@ def test_jitter_spreads_timeouts_deterministically():
     assert 100.0 <= first[0] <= 140.0
 
 
-def test_stats_epoch_pinned_across_reset():
-    sim, app, sender = make_sender()
+def test_stats_epoch_pinned_across_reset(monkeypatch):
+    sim, app, sender = make_sender(monkeypatch)
     warmup_stats = app.system.network.stats
     sender.track(SimpleNamespace(delivery_id=1), "mbr", lambda: None)
     # the measured interval starts: stats are swapped out (reset_stats)

@@ -22,6 +22,7 @@ from repro.core import (
     WorkloadConfig,
     point_query,
 )
+from repro.core import runtime as runtime_module
 from repro.core.protocol import (
     PAYLOAD_REGISTRY,
     Ack,
@@ -230,15 +231,11 @@ def test_span_copies_never_acked():
 # ----------------------------------------------------------------------
 # bounded seen-set: FIFO eviction
 # ----------------------------------------------------------------------
-def test_dedup_seen_limit_validated():
-    with pytest.raises(ValueError):
-        MiddlewareConfig(dedup_seen_limit=0)
-
-
-def test_dedup_seen_set_evicts_fifo():
+def test_dedup_seen_set_evicts_fifo(monkeypatch):
     """The seen-set is bounded; the oldest delivery id falls out first."""
+    monkeypatch.setattr(runtime_module, "DEDUP_SEEN_LIMIT", 3)
     # duplicate_rate > 0 so dedup bookkeeping is active (duplicates_possible)
-    system = small_system(dedup_seen_limit=3, duplicate_rate=0.01)
+    system = small_system(duplicate_rate=0.01)
     client = system.app(0)
 
     def deliver(delivery_id):

@@ -2,20 +2,20 @@
 
 from repro.core.config import MiddlewareConfig
 from repro.perf import counters as opc
-from repro.perf.counters import OpCounters, counting, install, installed, uninstall
+from repro.perf.counters import OpCounters, counting, install, uninstall
 from repro.workload.scenario import run_measured
 
 
 # ------------------------------------------------------------ mechanics
 def test_install_uninstall_lifecycle():
-    assert installed() is None
+    assert opc.ACTIVE is None
     sink = install()
-    assert installed() is sink
+    assert opc.ACTIVE is sink
     sink.inc("x")
     sink.inc("x", 2)
     assert sink.get("x") == 3
     assert uninstall() is sink
-    assert installed() is None
+    assert opc.ACTIVE is None
 
 
 def test_counting_context_restores_previous_sink():
@@ -70,7 +70,7 @@ def test_counters_identical_across_runs():
 
 def test_counting_off_means_no_counts():
     """With no sink installed the simulation runs uninstrumented."""
-    assert installed() is None
+    assert opc.ACTIVE is None
     run_measured(
         5,
         config=MiddlewareConfig(batch_size=1),
@@ -78,4 +78,4 @@ def test_counting_off_means_no_counts():
         warmup_extra_ms=500.0,
         measure_ms=500.0,
     )
-    assert installed() is None
+    assert opc.ACTIVE is None

@@ -103,7 +103,6 @@ def test_load_by_node():
     load = stats.load_by_node()
     assert load[1] == 3
     assert load[2] == 1
-    assert stats.node_load(1) == 3
 
 
 def test_originations_counter():
@@ -111,14 +110,6 @@ def test_originations_counter():
     stats.record_origination("query")
     stats.record_origination("query")
     assert stats.originations["query"] == 2
-
-
-def test_sends_per_kind_node_mean():
-    stats = MessageStats()
-    for _ in range(10):
-        stats.record_send(1, "mbr")
-    means = stats.sends_per_kind_node_mean(n_nodes=5)
-    assert means["mbr"] == 2.0
 
 
 def test_delivery_ratio_accounting():

@@ -63,23 +63,6 @@ def test_invalid_period_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         PeriodicProcess(sim, 0.0, lambda: None)
-    proc = PeriodicProcess(sim, 5.0, lambda: None)
-    with pytest.raises(SimulationError):
-        proc.set_period(-1.0)
-
-
-def test_set_period_takes_effect_after_pending_tick():
-    sim = Simulator()
-    times = []
-    proc = PeriodicProcess(sim, 10.0, lambda: times.append(sim.now))
-    proc.start()
-    sim.run(until=10.0)
-    # The tick at t=20 was already scheduled with the old period; the
-    # new period applies to every tick after it.
-    proc.set_period(5.0)
-    assert proc.period == 5.0
-    sim.run(until=31.0)
-    assert times == [10.0, 20.0, 25.0, 30.0]
 
 
 def test_jitter_fn_perturbs_period():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.streams import DataStream, SlidingWindow
+from repro.streams import SlidingWindow
 
 
 def test_window_size_validation():
@@ -50,7 +50,8 @@ def test_values_oldest_first_after_wrap():
 
 def test_values_returns_copy():
     w = SlidingWindow(3)
-    w.extend([1.0, 2.0, 3.0])
+    for v in (1.0, 2.0, 3.0):
+        w.append(v)
     arr = w.values()
     arr[0] = 99.0
     assert w.values()[0] == 1.0
@@ -63,32 +64,9 @@ def test_newest():
         assert w.newest() == float(v)
 
 
-def test_total_appended():
-    w = SlidingWindow(2)
-    w.extend([1.0, 2.0, 3.0])
-    assert w.total_appended == 3
-    assert len(w) == 2
-
-
 def test_long_rotation_consistency():
     w = SlidingWindow(7)
     data = np.arange(100, dtype=np.float64)
     for v in data:
         w.append(v)
     assert w.values().tolist() == data[-7:].tolist()
-
-
-def test_datastream_ingest():
-    s = DataStream("s1", window_size=3)
-    p0 = s.ingest(5.0, time=10.0)
-    assert p0.stream_id == "s1"
-    assert p0.seq == 0
-    assert p0.time == 10.0
-    assert p0.value == 5.0
-    assert not s.ready
-    s.ingest(6.0, time=11.0)
-    p2 = s.ingest(7.0, time=12.0)
-    assert p2.seq == 2
-    assert s.ready
-    assert s.last_time == 12.0
-    assert s.window.values().tolist() == [5.0, 6.0, 7.0]
