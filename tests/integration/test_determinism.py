@@ -10,6 +10,7 @@ the counters.
 
 import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -193,3 +194,77 @@ def test_replicated_lossy_run_matches_pinned_digests(fresh_query_ids):
     ledger = stats_to_csv_string(system.network.stats)
     assert hashlib.sha256(ledger.encode()).hexdigest() == REPLICATED_LEDGER_SHA256
     assert _answer_digest(system) == REPLICATED_ANSWERS_SHA256
+
+
+def _plateau_stream():
+    """A deterministic stream that opens and recurs with constant runs.
+
+    It starts flat for longer than a window plus a box, so the first
+    boxes hold rows whose window has zero spread (the z-norm and
+    unit-norm zero rows, and all-zero bounds); after that it alternates
+    a 150-value plateau with a 250-value wiggle.
+    """
+    t = itertools.count()
+
+    def next_value() -> float:
+        i = next(t)
+        phase = i % 400
+        if phase < 150:
+            return 5.0 + (i // 400)
+        return 5.0 + math.sin(0.37 * i) + 0.01 * phase
+
+    return next_value
+
+
+def _published_mbr_digest(monkeypatch, normalization: str) -> str:
+    """sha256 over every MBR every source published, in publish order.
+
+    Each box contributes its stream id, ``count``, ``created`` and the
+    bytes of its ``(2, d)`` bounds, so any change to a feature's last
+    bit, to box boundaries or to the time a box opened shows here.
+    """
+    from repro.core.roles.source import SourceService
+
+    published = []
+    original = SourceService.publish_mbr
+
+    def record(self, mbr):
+        published.append(
+            f"{mbr.stream_id}:{mbr.count}:{mbr.created!r}:{mbr.bounds.tobytes().hex()};"
+        )
+        original(self, mbr)
+
+    monkeypatch.setattr(SourceService, "publish_mbr", record)
+    config = MiddlewareConfig(
+        window_size=64,
+        k=4,
+        batch_size=20,
+        normalization=normalization,
+        workload=WorkloadConfig(pmin_ms=5.0, pmax_ms=10.0, qrate_per_s=0.0),
+    )
+    system = StreamIndexSystem(8, config, seed=3)
+    system.attach_random_walk_streams()
+    system.attach_stream(system.app(0), "plateau", _plateau_stream())
+    # past 4,096 rows per stream, so every stream crosses one drift refresh
+    system.run(45_000.0)
+    assert len(published) > 8 * 200
+    return hashlib.sha256("".join(published).encode()).hexdigest()
+
+
+#: :func:`_published_mbr_digest` per normalization mode
+PUBLISHED_MBRS_SHA256 = {
+    "z": "199fafec6e1ebca5dded69849c03fb96bc8e98284f8ae15a0049b480ae55d9cb",
+    "unit": "41c7c10f2786ed5aad46cc4c4bb869787c381d6ee416f306745688dd6246718c",
+}
+
+
+@pytest.mark.parametrize("normalization", sorted(PUBLISHED_MBRS_SHA256))
+def test_published_mbrs_match_pinned_digest(monkeypatch, normalization):
+    """Every published box, bit for bit, at window 64, k 4 and batch 20.
+
+    The ledger pins above run batch 1 and 2 at window 16; this one
+    covers boxes of many rows over a longer window, constant runs
+    (zero-spread rows) and the extractor's drift refresh.
+    """
+    digest = _published_mbr_digest(monkeypatch, normalization)
+    assert digest == PUBLISHED_MBRS_SHA256[normalization]
