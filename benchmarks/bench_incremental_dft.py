@@ -23,13 +23,13 @@ def data(n):
 @pytest.mark.parametrize("n", [128, 1024])
 def test_incremental_update(benchmark, n):
     xs = data(n)
-    sd = SlidingDFT(n, K, refresh_every=None)
+    sd = SlidingDFT(n, K)
     sd.initialize(xs[:n])
     state = {"t": n}
 
     def step():
         t = state["t"]
-        sd.update(xs[t], xs[t - n])
+        sd.update((xs[t],), (xs[t - n],))
         state["t"] = n + (t + 1 - n) % N_ITEMS
 
     benchmark(step)
@@ -53,11 +53,11 @@ def test_incremental_beats_recompute_and_is_window_independent(benchmark, save_r
 
     def time_incremental(n):
         xs = data(n)
-        sd = SlidingDFT(n, K, refresh_every=None)
+        sd = SlidingDFT(n, K)
         sd.initialize(xs[:n])
         return (
             timeit.timeit(
-                "sd.update(1.0, 0.5)", globals={"sd": sd}, number=20_000
+                "sd.update((1.0,), (0.5,))", globals={"sd": sd}, number=20_000
             )
             / 20_000
         )

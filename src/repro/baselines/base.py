@@ -46,6 +46,7 @@ class _Source:
     batcher: MBRBatcher
     generator: Callable[[], float]
     mbrs_published: int = 0
+    block_opened_ms: float = 0.0
 
 
 class BaselineIndexRole(RoleService):
@@ -126,7 +127,7 @@ class BaselineNode:
         self.sources[stream_id] = _Source(
             stream_id=stream_id,
             extractor=IncrementalFeatureExtractor(
-                cfg.window_size, cfg.k, mode=cfg.normalization
+                cfg.window_size, cfg.k, mode=cfg.normalization, block=cfg.batch_size
             ),
             batcher=MBRBatcher(stream_id, cfg.batch_size),
             generator=generator,
@@ -135,10 +136,12 @@ class BaselineNode:
     def on_stream_value(self, stream_id: str) -> None:
         """Ingest the next value; hand finished MBRs to the system policy."""
         src = self.sources[stream_id]
-        feature = src.extractor.push(src.generator())
-        if feature is None:
+        if not src.extractor.pending:
+            src.block_opened_ms = self.system.sim.now
+        block = src.extractor.push(src.generator())
+        if block is None:
             return
-        mbr = src.batcher.add(feature, now=self.system.sim.now)
+        mbr = src.batcher.add(block, now=src.block_opened_ms)
         if mbr is not None:
             src.mbrs_published += 1
             self.system.network.stats.record_origination(KIND.MBR)

@@ -54,9 +54,9 @@ class AdaptiveMBRBatcher:
     """MBR batching with an adaptive width cap on the routing coordinate.
 
     Drop-in replacement for :class:`~repro.core.mbr.MBRBatcher` (same
-    ``add`` / ``flush`` / ``pending`` / ``emitted`` surface) plus a
-    :meth:`feedback` hook the publisher calls with the number of nodes
-    each emitted box spanned.
+    ``add`` / ``flush`` / ``pending`` / ``emitted`` surface, one row per
+    ``add``) plus a :meth:`feedback` hook the publisher calls with the
+    number of nodes each emitted box spanned.
 
     Parameters
     ----------
@@ -119,11 +119,19 @@ class AdaptiveMBRBatcher:
     def add(self, feature: np.ndarray, now: float = 0.0) -> Optional[MBR]:
         """Absorb one vector; emit the box when count or width cap binds.
 
+        ``feature`` is a ``(d,)`` vector or a one-row ``(1, d)`` block:
+        the width cap may close a box at any row, so the stream source
+        hands this batcher its features one row per call.
+
         When the width cap forces an early close, the closed box is
         returned and the *new* vector opens the next box — so no vector
         is ever dropped and boxes never exceed the cap.
         """
         feature = np.asarray(feature, dtype=np.float64)
+        if feature.ndim == 2:
+            if len(feature) != 1:
+                raise ValueError("the adaptive batcher takes one row per call")
+            feature = feature[0]
         if self._current is None:
             self._current = MBR.of_point(feature, stream_id=self.stream_id, created=now)
         elif self._width_if_extended(feature) > self.width_limit:

@@ -44,7 +44,6 @@ __all__ = [
     "SimilaritySubscribe",
     "RegisterStream",
     "LocateRequest",
-    "LocateReply",
     "InnerProductSubscribe",
     "WindowRequest",
     "WindowReply",
@@ -415,23 +414,6 @@ class LocateRequest:
     query: InnerProductQuery
     client_id: int
     delivery_id: int = -1
-
-
-@payload(kind=KIND.RESPONSE, flow="reserved")
-@dataclass
-class LocateReply:
-    """Location service answering a :class:`LocateRequest` (cacheable).
-
-    Declared wire format with a client-side handler, but nothing sends
-    it today — the location service forwards inner-product queries to
-    the source instead of answering the client directly (Sec. IV-D), so
-    it is registered ``flow="reserved"`` and exempt from the flow
-    analyzer's F001 send-site requirement.
-    """
-
-    stream_id: str
-    source_id: int
-    query_id: int
 
 
 @payload(

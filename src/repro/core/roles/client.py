@@ -22,7 +22,6 @@ from ..protocol import (
     HierarchyQuery,
     InnerProductSubscribe,
     LocateRequest,
-    LocateReply,
     ResponsePush,
     SimilaritySubscribe,
     WindowReply,
@@ -309,18 +308,6 @@ class ClientService(RoleService):
                         time=now,
                     )
                 )
-
-    @handles(LocateReply)
-    def on_locate_reply(self, message: Message, payload: LocateReply) -> None:
-        """Cache an explicit location-service answer (Sec. IV-D).
-
-        The current protocol resolves locations implicitly (the
-        location node forwards the subscription; replies carry the
-        source id), so nothing sends this today — but a registered
-        payload must have exactly one owner, and the cache update is
-        its natural meaning.
-        """
-        self.locate_cache[payload.stream_id] = payload.source_id
 
     @handles(WindowReply)
     def on_window_reply(self, message: Message, payload: WindowReply) -> None:

@@ -54,6 +54,8 @@ class SourceState:
     generator: Callable[[], float]
     values_ingested: int = 0
     mbrs_published: int = 0
+    #: simulated time of the open block's first row: its MBR's ``created``
+    block_opened_ms: float = 0.0
     #: most recent publication, kept for soft-state refresh: if the
     #: index copy is lost (crash, loss) the source re-asserts it with
     #: the remaining lifespan until it would have expired anyway
@@ -99,13 +101,16 @@ class SourceService(RoleService):
         if stream_id in self.sources:
             raise ValueError(f"stream {stream_id!r} already attached")
         if self.cfg.adaptive_mbr:
+            # the width cap may close a box at any row: one-row blocks
             batcher = AdaptiveMBRBatcher(stream_id, self.cfg.batch_size)
+            block = 1
         else:
             batcher = MBRBatcher(stream_id, self.cfg.batch_size)
+            block = self.cfg.batch_size
         src = SourceState(
             stream_id=stream_id,
             extractor=IncrementalFeatureExtractor(
-                self.cfg.window_size, self.cfg.k, mode=self.cfg.normalization
+                self.cfg.window_size, self.cfg.k, mode=self.cfg.normalization, block=block
             ),
             batcher=batcher,
             generator=generator,
@@ -130,14 +135,21 @@ class SourceService(RoleService):
         )
 
     def on_stream_value(self, stream_id: str) -> None:
-        """Ingest the next value of a locally attached stream."""
+        """Ingest the next value of a locally attached stream.
+
+        Per value this appends to the window; the value that closes an
+        MBR turns the block's rows into features and the box.
+        """
         src = self.sources[stream_id]
         value = src.generator()
         src.values_ingested += 1
-        feature = src.extractor.push(value)
-        if feature is None:
+        extractor = src.extractor
+        if not extractor.pending:
+            src.block_opened_ms = self.transport.now
+        block = extractor.push(value)
+        if block is None:
             return
-        mbr = src.batcher.add(feature, now=self.transport.now)
+        mbr = src.batcher.add(block, now=src.block_opened_ms)
         if mbr is not None:
             src.mbrs_published += 1
             self.publish_mbr(mbr)

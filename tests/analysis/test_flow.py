@@ -173,8 +173,8 @@ def test_f001_flags_payload_without_handler(tmp_path):
 
 
 def test_f001_reserved_flow_waives_the_send_site(tmp_path):
-    # reserved payloads (e.g. LocateReply) keep their handler but have
-    # no in-tree sender by design
+    # reserved payloads keep their handler but have no in-tree sender
+    # by design
     write(
         tmp_path,
         "proj/protocol.py",

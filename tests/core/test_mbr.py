@@ -181,3 +181,37 @@ def test_batcher_validation():
 def test_batcher_stream_id_propagates():
     b = MBRBatcher("stream-9", batch_size=1)
     assert b.add(np.zeros(2)).stream_id == "stream-9"
+
+
+def test_of_block_bounds_equal_the_row_by_row_fold():
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(30, 5))
+    m = MBR.of_point(block[0])
+    for row in block[1:]:
+        m.extend(row)
+    box = MBR.of_block(block, stream_id="s", created=2.0)
+    assert box.bounds.tobytes() == m.bounds.tobytes()
+    assert (box.count, box.created, box.stream_id) == (30, 2.0, "s")
+
+
+def test_of_block_zero_bound_keeps_the_sign_the_fold_gives():
+    """A reduce may keep the other zero of a column of ±0.0 (here it
+    does, for one column); the box must hold the sign folding the rows
+    in order gives."""
+    column = [1.0, 0.0, 0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 1.0, 1.0]
+    block = np.array(column)[:, None]
+    m = MBR.of_point(block[0])
+    for row in block[1:]:
+        m.extend(row)
+    assert MBR.of_block(block).bounds.tobytes() == m.bounds.tobytes()
+
+
+def test_batcher_takes_whole_blocks():
+    b = MBRBatcher("s", batch_size=4)
+    assert b.add(np.array([[0.0, 1.0], [2.0, -1.0]]), now=3.0) is None
+    assert b.pending == 2
+    with pytest.raises(ValueError):
+        b.add(np.zeros((3, 2)))
+    m = b.add(np.array([[1.0, 5.0], [-2.0, 0.5]]), now=9.0)
+    assert m.count == 4 and m.created == 3.0
+    assert m.low.tolist() == [-2.0, -1.0] and m.high.tolist() == [2.0, 5.0]

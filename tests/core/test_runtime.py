@@ -31,7 +31,6 @@ from repro.core.protocol import (
     HintedHandoff,
     InnerProductSubscribe,
     LoadShed,
-    LocateReply,
     LocateRequest,
     MbrPublish,
     RegisterStream,
@@ -95,9 +94,6 @@ PAYLOAD_FACTORIES = {
     ),
     LocateRequest: lambda app, peer: LocateRequest(
         query=point_query("ghost", 0, 1_000.0), client_id=peer.node_id
-    ),
-    LocateReply: lambda app, peer: LocateReply(
-        stream_id="sX", source_id=peer.node_id, query_id=7
     ),
     InnerProductSubscribe: lambda app, peer: InnerProductSubscribe(
         query=point_query("ghost", 0, 1_000.0), client_id=peer.node_id

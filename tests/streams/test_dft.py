@@ -125,10 +125,10 @@ def test_sliding_update_matches_batch_recomputation():
     rng = np.random.default_rng(7)
     n, k = 24, 5
     data = rng.normal(size=200)
-    sd = SlidingDFT(n, k, refresh_every=None)
+    sd = SlidingDFT(n, k)
     sd.initialize(data[:n])
     for t in range(n, len(data)):
-        got = sd.update(data[t], data[t - n])
+        got = sd.update((data[t],), (data[t - n],))
         want = truncated_dft(data[t - n + 1 : t + 1], k)
         assert np.allclose(got, want, atol=1e-9)
 
@@ -137,26 +137,41 @@ def test_sliding_update_drift_bounded_over_long_run():
     rng = np.random.default_rng(8)
     n, k = 16, 3
     data = rng.normal(size=20_000)
-    sd = SlidingDFT(n, k, refresh_every=None)
+    sd = SlidingDFT(n, k)
     sd.initialize(data[:n])
     for t in range(n, len(data)):
-        got = sd.update(data[t], data[t - n])
+        got = sd.update((data[t],), (data[t - n],))
     want = truncated_dft(data[-n:], k)
     assert np.allclose(got, want, atol=1e-6)
 
 
 def test_refresh_resets_drift():
+    """Re-initializing from the window (the owner's drift refresh) is exact."""
     rng = np.random.default_rng(9)
     n, k = 16, 3
     data = rng.normal(size=600)
-    sd = SlidingDFT(n, k, refresh_every=64)
+    sd = SlidingDFT(n, k)
     sd.initialize(data[:n])
-    window = None
-    for t in range(n, len(data)):
-        window = data[t - n + 1 : t + 1]
-        sd.update(data[t], data[t - n], window=window)
-    want = truncated_dft(window, k)
-    assert np.allclose(sd.coefficients, want, atol=1e-12)
+    sd.update(data[n:], data[: len(data) - n])
+    window = data[-n:]
+    sd.initialize(window)
+    assert np.array_equal(sd.coefficients, truncated_dft(window, k))
+
+
+def test_block_update_equals_one_value_at_a_time():
+    """One call over a block is bit-identical to one call per value."""
+    rng = np.random.default_rng(10)
+    n, k = 16, 4
+    data = rng.normal(size=80)
+    one, block = SlidingDFT(n, k), SlidingDFT(n, k)
+    one.initialize(data[:n])
+    block.initialize(data[:n])
+    rows = np.empty((len(data) - n, k), dtype=np.complex128)
+    block.update(data[n:].tolist(), data[: len(data) - n].tolist(), out=rows)
+    for i, t in enumerate(range(n, len(data))):
+        one.update((data[t],), (data[t - n],))
+        assert rows[i].tobytes() == one.peek().tobytes()
+    assert block.peek().tobytes() == one.peek().tobytes()
 
 
 def test_coefficients_property_is_copy():
@@ -172,13 +187,13 @@ def test_incremental_tracks_full_fft():
     n, k, steps = 16, 4, 500
     rng = RngRegistry(seed=99).get("vs-fft")
     window = list(rng.standard_normal(n))
-    dft = SlidingDFT(n, k, refresh_every=None)
+    dft = SlidingDFT(n, k)
     dft.initialize(np.asarray(window))
     for _ in range(steps):
         new = float(rng.standard_normal())
         old = window.pop(0)
         window.append(new)
-        dft.update(new, old)
+        dft.update((new,), (old,))
     expect = np.fft.fft(np.asarray(window))[:k] / np.sqrt(n)
     for a, b in zip(dft.coefficients, expect):
         assert math.isclose(a.real, b.real, rel_tol=1e-7, abs_tol=1e-7)
@@ -188,10 +203,10 @@ def test_incremental_tracks_full_fft():
 def test_peek_returns_live_view_and_coefficients_a_copy():
     n, k = 16, 4
     rng = RngRegistry(seed=99).get("views")
-    dft = SlidingDFT(n, k, refresh_every=None)
+    dft = SlidingDFT(n, k)
     dft.initialize(rng.standard_normal(n))
     live = dft.peek()
     copied = dft.coefficients
-    dft.update(1.0, 0.5)
+    dft.update((1.0,), (0.5,))
     assert np.array_equal(live, dft.peek())  # same storage
     assert not np.array_equal(copied, dft.coefficients)  # snapshot
