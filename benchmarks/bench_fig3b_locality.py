@@ -19,9 +19,9 @@ def feature_trajectory(trace, n=64, k=2):
     fx = IncrementalFeatureExtractor(n, k, mode="z")
     out = []
     for v in trace:
-        f = fx.push(v)
+        f = fx.push(v)  # a one-row block once the window is full
         if f is not None:
-            out.append(f)
+            out.append(f[0])
     return np.array(out)
 
 

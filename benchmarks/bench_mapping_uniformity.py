@@ -29,8 +29,8 @@ def collect_routing_coordinates(seed=0):
         for _ in range(WINDOW):
             fx.push(gen.next_value())
         for _ in range(SAMPLES_PER_STREAM):
-            f = fx.push(gen.next_value())
-            values.append(float(f[0]))
+            f = fx.push(gen.next_value())  # a one-row block
+            values.append(float(f[0, 0]))
     return np.array(values)
 
 
