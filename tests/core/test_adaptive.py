@@ -22,6 +22,17 @@ def test_validation():
         AdaptiveMBRBatcher("s", 5, shrink=1.5)
 
 
+def test_add_takes_one_row_blocks():
+    """The source hands this batcher (1, d) blocks; wider ones are refused."""
+    b = AdaptiveMBRBatcher("s", 2, width_limit=10.0, max_width=10.0)
+    assert b.add(np.array([[0.0, 1.0]]), now=5.0) is None
+    m = b.add(np.array([[0.5, -1.0]]), now=6.0)
+    assert m.count == 2 and m.created == 5.0
+    assert m.low.tolist() == [0.0, -1.0] and m.high.tolist() == [0.5, 1.0]
+    with pytest.raises(ValueError):
+        b.add(np.zeros((2, 2)))
+
+
 def test_count_cap_still_applies():
     b = AdaptiveMBRBatcher("s", 3, width_limit=10.0, max_width=10.0)
     assert b.add(feats([0.0])[0]) is None

@@ -132,6 +132,8 @@ def test_validation():
         IncrementalFeatureExtractor(8, 8)
     with pytest.raises(ValueError):
         IncrementalFeatureExtractor(8, 2, mode="bad")
+    with pytest.raises(ValueError):
+        IncrementalFeatureExtractor(8, 2, block=0)
 
 
 def test_routing_coordinate_is_first_component():
