@@ -22,8 +22,8 @@ The F-rule catalog checked over the graph:
 
 ====  ==============================================================
 F001  every registered payload has ≥1 send site and ≥1 handler
-      (``flow="reserved"`` waives the send site, ``flow="ack"`` the
-      handler — the dispatch layer consumes acks itself)
+      (``flow="ack"`` waives the handler — the dispatch layer consumes
+      acks itself)
 F002  no attributed send site sends a payload its role does not
       appear in the payload's declared ``senders``
 F003  ack obligations are acyclic (an ack carrier must not itself be
@@ -733,7 +733,7 @@ def check_flow(graph: MessageFlowGraph) -> List[Finding]:
         handlers = graph.handlers_of(name)
 
         # F001 — liveness of the registry entry
-        if decl.flow != "reserved" and not sends:
+        if not sends:
             findings.append(
                 _decl_finding(
                     "F001",

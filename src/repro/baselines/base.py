@@ -19,7 +19,7 @@ message counts, not routing stretch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..core.config import MiddlewareConfig
@@ -29,24 +29,15 @@ from ..core.metrics import FigureMetrics
 from ..core.protocol import KIND, MbrPublish, ResponsePush, SimilaritySubscribe
 from ..core.queries import SimilarityMatch, SimilarityQuery
 from ..core.roles.base import DispatchTable, RoleService, handles
+from ..core.roles.source import SourceState
 from ..sim.engine import Simulator
 from ..sim.network import Message, MessageStats, Network
-from ..sim.process import PeriodicProcess
+from ..sim.process import PeriodicProcess, StreamClock
 from ..sim.rng import RngRegistry
 from ..streams.features import IncrementalFeatureExtractor
 from ..streams.generators import RandomWalkGenerator
 
 __all__ = ["BaselineClientRole", "BaselineIndexRole", "BaselineNode", "BaselineSystem"]
-
-
-@dataclass
-class _Source:
-    stream_id: str
-    extractor: IncrementalFeatureExtractor
-    batcher: MBRBatcher
-    generator: Callable[[], float]
-    mbrs_published: int = 0
-    block_opened_ms: float = 0.0
 
 
 class BaselineIndexRole(RoleService):
@@ -113,18 +104,18 @@ class BaselineNode:
         self.node_id = node_id
         self.system = system
         self.index = LocalIndex()
-        self.sources: Dict[str, _Source] = {}
+        self.sources: Dict[str, SourceState] = {}
         self.similarity_results: Dict[int, List[SimilarityMatch]] = {}
         self.dispatch = DispatchTable()
         self.dispatch.add_service(BaselineIndexRole(self))
         self.dispatch.add_service(BaselineClientRole(self))
 
-    def attach_stream(self, stream_id: str, generator: Callable[[], float]) -> None:
+    def attach_stream(self, stream_id: str, generator: Callable[[], float]) -> SourceState:
         """Attach a locally sourced stream."""
         cfg = self.system.config
         if stream_id in self.sources:
             raise ValueError(f"stream {stream_id!r} already attached")
-        self.sources[stream_id] = _Source(
+        src = self.sources[stream_id] = SourceState(
             stream_id=stream_id,
             extractor=IncrementalFeatureExtractor(
                 cfg.window_size, cfg.k, mode=cfg.normalization, block=cfg.batch_size
@@ -132,18 +123,15 @@ class BaselineNode:
             batcher=MBRBatcher(stream_id, cfg.batch_size),
             generator=generator,
         )
+        return src
 
-    def on_stream_value(self, stream_id: str) -> None:
-        """Ingest the next value; hand finished MBRs to the system policy."""
-        src = self.sources[stream_id]
-        if not src.extractor.pending:
-            src.block_opened_ms = self.system.sim.now
-        block = src.extractor.push(src.generator())
-        if block is None:
-            return
-        mbr = src.batcher.add(block, now=src.block_opened_ms)
+    def on_stream_value(self, stream_id: str, now: Optional[float] = None) -> None:
+        """Ingest the next value, arrived at ``now`` (default: the current time).
+
+        A finished MBR goes to the system policy.
+        """
+        mbr = self.sources[stream_id].ingest(self.system.sim.now if now is None else now)
         if mbr is not None:
-            src.mbrs_published += 1
             self.system.network.stats.record_origination(KIND.MBR)
             self.system.handle_mbr(self, mbr)
 
@@ -202,7 +190,7 @@ class BaselineSystem:
         self.rngs = RngRegistry(seed)
         self.network = Network(self.sim, hop_delay_ms=self.config.hop_delay_ms)
         self._apps = [BaselineNode(i, self) for i in range(n_nodes)]
-        self._stream_procs: List[PeriodicProcess] = []
+        self._stream_procs: List[StreamClock] = []
         rng = self.rngs.get("nper-phase")
         nper = self.config.workload.nper_ms
         for app in self._apps:
@@ -243,15 +231,15 @@ class BaselineSystem:
             period_ms = float(
                 self.rngs.get("stream-period").uniform(wl.pmin_ms, wl.pmax_ms)
             )
-        app.attach_stream(stream_id, generator)
-        proc = PeriodicProcess(
+        src = app.attach_stream(stream_id, generator)
+        src.clock = StreamClock(
             self.sim,
             period_ms,
-            lambda a=app, s=stream_id: a.on_stream_value(s),
+            partial(app.on_stream_value, stream_id),
+            src.arrivals_to_close,
             phase=float(self.rngs.get("stream-phase").uniform(0.0, period_ms)),
-        )
-        proc.start()
-        self._stream_procs.append(proc)
+        ).start()
+        self._stream_procs.append(src.clock)
 
     def attach_random_walk_streams(self, *, step: float = 1.0) -> None:
         """One random-walk stream per node, matching the paper's workload."""

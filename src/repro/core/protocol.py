@@ -218,9 +218,8 @@ class PayloadSpec:
     #: declared later in this module.
     response: Optional[str] = None
     #: flow discipline: ``"normal"`` payloads need a send site and a
-    #: handler (F001); ``"reserved"`` payloads are declared wire format
-    #: without an in-tree sender yet; ``"ack"`` payloads are consumed by
-    #: the dispatch layer itself instead of a role handler
+    #: handler (F001); ``"ack"`` payloads are consumed by the dispatch
+    #: layer itself instead of a role handler
     flow: str = "normal"
 
 
@@ -242,7 +241,7 @@ def registry_items() -> List[Tuple[Type, PayloadSpec]]:
     return list(PAYLOAD_REGISTRY.items())
 
 
-_FLOW_VALUES = ("normal", "reserved", "ack")
+_FLOW_VALUES = ("normal", "ack")
 
 
 def payload(
@@ -299,8 +298,6 @@ def payload(
         raise ValueError(
             "a normal-flow payload must declare at least one sender role"
         )
-    if spec.flow == "reserved" and spec.senders:
-        raise ValueError("a reserved payload declares no sender roles")
 
     def register(cls: Type) -> Type:
         """Record ``cls`` with its spec in :data:`PAYLOAD_REGISTRY`."""

@@ -16,17 +16,18 @@ runtime) so purging stays in one place.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Deque, Dict, Optional
 
 import numpy as np
 
 from ...chord.hashing import stream_identifier
 from ...sim.network import Message
+from ...sim.process import StreamClock
 from ...streams.dft import reconstruct_from_coefficients
 from ...streams.features import IncrementalFeatureExtractor
 from ..adaptive import AdaptiveMBRBatcher, estimate_system_size
-from ..mbr import MBRBatcher
+from ..mbr import MBR, MBRBatcher
 from ..protocol import (
     KIND,
     Backpressure,
@@ -44,23 +45,74 @@ from .base import RoleService, handles
 __all__ = ["SourceService", "SourceState"]
 
 
-@dataclass
 class SourceState:
-    """Per-stream state kept at the stream's source data center."""
+    """Per-stream state kept at the stream's source data center.
 
-    stream_id: str
-    extractor: IncrementalFeatureExtractor
-    batcher: MBRBatcher
-    generator: Callable[[], float]
-    values_ingested: int = 0
-    mbrs_published: int = 0
-    #: simulated time of the open block's first row: its MBR's ``created``
-    block_opened_ms: float = 0.0
-    #: most recent publication, kept for soft-state refresh: if the
-    #: index copy is lost (crash, loss) the source re-asserts it with
-    #: the remaining lifespan until it would have expired anyway
-    last_publish: Optional[MbrPublish] = None
-    last_publish_ms: float = 0.0
+    A simulated stream is driven by a :class:`~repro.sim.process.StreamClock`
+    (:attr:`clock`) that ingests its values lazily between MBR closes:
+    reading :attr:`extractor` or :attr:`values_ingested` first catches
+    the clock up to the current time.
+    """
+
+    def __init__(
+        self,
+        stream_id: str,
+        extractor: IncrementalFeatureExtractor,
+        batcher: MBRBatcher,
+        generator: Callable[[], float],
+    ) -> None:
+        self.stream_id = stream_id
+        self._extractor = extractor
+        self.batcher = batcher
+        self.generator = generator
+        self._values = 0
+        self.mbrs_published = 0
+        #: simulated time of the open block's first row: its MBR's ``created``
+        self.block_opened_ms = 0.0
+        #: most recent publication, kept for soft-state refresh: if the
+        #: index copy is lost (crash, loss) the source re-asserts it with
+        #: the remaining lifespan until it would have expired anyway
+        self.last_publish: Optional[MbrPublish] = None
+        self.last_publish_ms = 0.0
+        #: the arrival process, if a simulated one drives the stream
+        self.clock: Optional[StreamClock] = None
+
+    @property
+    def extractor(self) -> IncrementalFeatureExtractor:
+        """The stream's feature pipeline, caught up to now."""
+        if self.clock is not None:
+            self.clock.catch_up()
+        return self._extractor
+
+    @property
+    def values_ingested(self) -> int:
+        """Values ingested so far, caught up to now."""
+        if self.clock is not None:
+            self.clock.catch_up()
+        return self._values
+
+    def arrivals_to_close(self) -> int:
+        """Values until the one that closes the open MBR block, included."""
+        return self._extractor.arrivals_to_close()
+
+    def ingest(self, now: float) -> Optional[MBR]:
+        """Ingest the generator's next value, arrived at ``now``.
+
+        Per value this appends to the window; the value that closes a
+        block turns its rows into features and returns the MBR the
+        batcher closes with them, if any.
+        """
+        extractor = self._extractor
+        if not extractor.pending:
+            self.block_opened_ms = now
+        self._values += 1
+        block = extractor.push(self.generator())
+        if block is None:
+            return None
+        mbr = self.batcher.add(block, now=self.block_opened_ms)
+        if mbr is not None:
+            self.mbrs_published += 1
+        return mbr
 
 
 class SourceService(RoleService):
@@ -95,8 +147,10 @@ class SourceService(RoleService):
         """Make this data center the source of ``stream_id``.
 
         Registers the stream with the ``h2`` location service and sets
-        up the incremental summary pipeline.  The system is responsible
-        for driving :meth:`on_stream_value` at the stream's period.
+        up the incremental summary pipeline.  The caller drives
+        :meth:`on_stream_value` once per value: a simulated system through
+        a :class:`~repro.sim.process.StreamClock` it sets as the state's
+        ``clock``, a peer as its client's values arrive.
         """
         if stream_id in self.sources:
             raise ValueError(f"stream {stream_id!r} already attached")
@@ -134,24 +188,13 @@ class SourceService(RoleService):
             dest_key=key,
         )
 
-    def on_stream_value(self, stream_id: str) -> None:
-        """Ingest the next value of a locally attached stream.
+    def on_stream_value(self, stream_id: str, now: Optional[float] = None) -> None:
+        """Ingest the next value of a locally attached stream; publish a closed MBR.
 
-        Per value this appends to the window; the value that closes an
-        MBR turns the block's rows into features and the box.
+        ``now`` is the value's arrival time, the current time by default.
         """
-        src = self.sources[stream_id]
-        value = src.generator()
-        src.values_ingested += 1
-        extractor = src.extractor
-        if not extractor.pending:
-            src.block_opened_ms = self.transport.now
-        block = extractor.push(value)
-        if block is None:
-            return
-        mbr = src.batcher.add(block, now=src.block_opened_ms)
+        mbr = self.sources[stream_id].ingest(self.transport.now if now is None else now)
         if mbr is not None:
-            src.mbrs_published += 1
             self.publish_mbr(mbr)
 
     def publish_mbr(self, mbr) -> None:

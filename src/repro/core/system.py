@@ -19,6 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..chord.dht import DhtOverlay
@@ -29,7 +30,7 @@ from ..net.transport import SimTransport
 from ..sim.engine import Simulator
 from ..sim.faults import FaultInjector, FaultPlan
 from ..sim.network import MessageStats, Network
-from ..sim.process import PeriodicProcess
+from ..sim.process import PeriodicProcess, StreamClock
 from ..sim.rng import RngRegistry
 from ..streams.generators import RandomWalkGenerator
 from .config import MiddlewareConfig
@@ -143,7 +144,7 @@ class StreamIndexSystem:
         self._app_order: List[StreamIndexNode] = []
         self._nper_procs: List[PeriodicProcess] = []
         self._refresh_procs: List[PeriodicProcess] = []
-        self._stream_procs: List[PeriodicProcess] = []
+        self._stream_procs: List[StreamClock] = []
         for node in self.ring:
             app = StreamIndexNode(node, self)
             self.apps[node.node_id] = app
@@ -328,19 +329,19 @@ class StreamIndexSystem:
         if period_ms is None:
             rng = self.rngs.get("stream-period")
             period_ms = float(rng.uniform(wl.pmin_ms, wl.pmax_ms))
-        app.attach_stream(stream_id, generator)
+        src = app.attach_stream(stream_id, generator)
         rng_phase = self.rngs.get("stream-phase")
         phase = float(rng_phase.uniform(0.0, period_ms))
         if start_ms is not None:
             phase = float(start_ms)
-        proc = PeriodicProcess(
+        src.clock = StreamClock(
             self.sim,
             period_ms,
-            lambda a=app, s=stream_id: a.on_stream_value(s),
+            partial(app.runtime.source.on_stream_value, stream_id),
+            src.arrivals_to_close,
             phase=phase,
-        )
-        proc.start()
-        self._stream_procs.append(proc)
+        ).start()
+        self._stream_procs.append(src.clock)
 
     def attach_random_walk_streams(self, *, step: float = 1.0) -> None:
         """The paper's default workload: one random-walk stream per data center.

@@ -19,7 +19,7 @@ from .faults import (
     LinkOutage,
 )
 from .network import DEFAULT_HOP_DELAY_MS, Message, MessageStats, Network
-from .process import PeriodicProcess, Timer
+from .process import PeriodicProcess, StreamClock, Timer
 from .rng import RngRegistry
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Network",
     "DEFAULT_HOP_DELAY_MS",
     "PeriodicProcess",
+    "StreamClock",
     "Timer",
     "RngRegistry",
     "DelayModel",

@@ -248,6 +248,12 @@ class IncrementalFeatureExtractor:
         """Feature rows of the open block (``push`` returns at ``block``)."""
         return self._done + len(self._new)
 
+    def arrivals_to_close(self) -> int:
+        """Pushes until one returns a block, that push included."""
+        if self.window.full:
+            return self.block - self.pending
+        return self.window_size - len(self.window) + self.block - 1
+
     def push(self, value: float) -> Optional[np.ndarray]:
         """Ingest one value; return the ``(block, d)`` features when it closes.
 

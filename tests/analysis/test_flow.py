@@ -172,34 +172,6 @@ def test_f001_flags_payload_without_handler(tmp_path):
     assert "no @handles handler" in findings[0].message
 
 
-def test_f001_reserved_flow_waives_the_send_site(tmp_path):
-    # reserved payloads keep their handler but have no in-tree sender
-    # by design
-    write(
-        tmp_path,
-        "proj/protocol.py",
-        """\
-        @payload(kind="future", flow="reserved")
-        class Future:
-            delivery_id: int = 0
-        """,
-    )
-    write(
-        tmp_path,
-        "proj/roles.py",
-        """\
-        class ClientService:
-            role = "client"
-
-            @handles(Future)
-            def on_future(self, message, payload):
-                pass
-        """,
-    )
-    _, findings = analyze_flow([tmp_path / "proj"])
-    assert findings == []
-
-
 def test_f001_ack_flow_waives_the_handler(tmp_path):
     # ack carriers are consumed by the runtime before dispatch — no
     # @handles method exists, and that must not count as a gap

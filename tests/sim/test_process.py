@@ -65,19 +65,6 @@ def test_invalid_period_rejected():
         PeriodicProcess(sim, 0.0, lambda: None)
 
 
-def test_jitter_fn_perturbs_period():
-    sim = Simulator()
-    times = []
-    jitters = iter([5.0, -3.0, 0.0])
-    proc = PeriodicProcess(
-        sim, 10.0, lambda: times.append(sim.now), jitter_fn=lambda: next(jitters)
-    )
-    proc.start()
-    sim.run(until=35.0)
-    # ticks at 10, 10+15=25, 25+7=32
-    assert times == [10.0, 25.0, 32.0]
-
-
 def test_tick_counter():
     sim = Simulator()
     proc = PeriodicProcess(sim, 1.0, lambda: None).start()
