@@ -39,8 +39,7 @@ def run_baseline(cls, n, seed=0):
             if not src.extractor.ready:
                 continue
             pattern = src.extractor.window.values()
-            system.post_similarity_query(
-                app,
+            app.post_similarity_query(
                 SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=8_000.0),
             )
 

@@ -13,7 +13,8 @@ Sub-packages:
 * :mod:`repro.chord` — the Chord DHT substrate
 * :mod:`repro.streams` — windows, DFT/wavelet synopses, generators
 * :mod:`repro.core` — the paper's indexing middleware and extensions
-* :mod:`repro.baselines` — centralized / flooding strawmen
+* :mod:`repro.baselines` — centralized / flooding strawmen: placement
+  policies of the same system, on a one-hop fabric
 * :mod:`repro.workload` — Table I workloads, query and churn generators
 * :mod:`repro.bench` — sweep harness and reporting
 """

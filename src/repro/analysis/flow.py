@@ -79,10 +79,9 @@ FLOW_RULES: Dict[str, str] = {
     "F005": "payload field mutated after construction on a send path",
 }
 
-#: package path segments excluded from whole-program analysis: strawman
-#: baselines reuse the production role names with a reduced protocol on
-#: purpose, and test trees are full of hand-built partial payloads
-DEFAULT_EXCLUDES: Tuple[str, ...] = ("baselines", "tests", "test")
+#: package path segments excluded from whole-program analysis: test
+#: trees are full of hand-built partial payloads
+DEFAULT_EXCLUDES: Tuple[str, ...] = ("tests", "test")
 
 #: sending APIs: callee attribute name -> positional index of the payload
 _SEND_ARG_INDEX = {

@@ -9,8 +9,8 @@ Complementing the static rules, these predicates check properties only a
   the circle (each node owns exactly ``(predecessor, self]``).
 * **Index placement** (:func:`check_index_placement`) — every live
   (non-expired) MBR sits on a node whose ownership arc intersects the
-  MBR's routing key range, i.e. content-based routing delivered each
-  summary where a range query would look for it.
+  key range the system's placement holds it over, i.e. each summary
+  was delivered where a range query would look for it.
 * **Message conservation** (:func:`check_message_conservation`) — every
   physical transmission is accounted for exactly once:
   ``sends + duplicates + in_flight_at_reset ==
@@ -32,7 +32,7 @@ CLI flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..chord.ring import ChordRing
@@ -312,30 +312,41 @@ def check_physical_ownership(ring: "ChordRing") -> InvariantReport:
 # ----------------------------------------------------------------------
 # index placement
 # ----------------------------------------------------------------------
+def _source_ids(system: "StreamIndexSystem") -> Dict[str, int]:
+    """Stream id -> the node id of its live source."""
+    return {
+        stream_id: app.node_id
+        for app in system.all_apps
+        if app.node.alive
+        for stream_id in app.sources
+    }
+
+
 def check_index_placement(
     system: "StreamIndexSystem", *, now: Optional[float] = None
 ) -> InvariantReport:
-    """Check each live MBR sits inside its holder's routed key range.
+    """Check each live MBR sits inside its holder's placed key range.
 
-    Content-based routing (Eq. 6) sends an MBR whose first-coordinate
-    interval maps to keys ``[klow, khigh]`` to every node covering that
-    range; a stored MBR on a node outside the covering set would be
-    invisible to exactly the queries it should answer.  Expired MBRs are
-    ignored: soft state left behind by churn is *expected* to be stale
-    until BSPAN retires it.
+    The system's placement names the keys ``[klow, khigh]`` an MBR is
+    held over — by content (Eq. 6) in the paper, at the center or at
+    the source in the Sec. IV-A strawmen — and the MBR goes to every
+    node covering that range; a stored MBR on a node outside the
+    covering set would be invisible to exactly the queries it should
+    answer.  Expired MBRs are ignored: soft state left behind by churn
+    is *expected* to be stale until BSPAN retires it.
     """
     report = InvariantReport()
     now = system.sim.now if now is None else now
     ring = system.ring
-    mapper = system.mapper
+    place = system.placement.mbr_keys
+    sources = _source_ids(system)
     for app in system.all_apps:
         if not app.node.alive:
             continue
         holder = app.node
         for stored in app.index.live_mbrs(now):
             report.checks_run += 1
-            vlow, vhigh = stored.mbr.first_coordinate_interval
-            klow, khigh = mapper.key_range(vlow, vhigh)
+            klow, khigh = place(stored.mbr, sources.get(stored.mbr.stream_id, -1))
             covering = ring.nodes_covering_range(klow, khigh)
             if holder not in covering:
                 names = ", ".join(f"N{c.node_id}" for c in covering)
@@ -430,6 +441,8 @@ def check_replica_placement(
     period = system.stabilizer.period_ms if system.stabilizer else 500.0
     grace = 2.0 * period + (REPUSH_COOLDOWN_HOPS + 2.0) * system.config.hop_delay_ms
     bspan = system.config.workload.bspan_ms
+    place = system.placement.mbr_keys
+    sources = _source_ids(system)
     for app in system.all_apps:
         if not app.node.alive:
             continue
@@ -438,8 +451,7 @@ def check_replica_placement(
             age = bspan - (stored.expires - now)
             if age < grace:
                 continue
-            vlow, vhigh = stored.mbr.first_coordinate_interval
-            klow, khigh = system.mapper.key_range(vlow, vhigh)
+            klow, khigh = place(stored.mbr, sources.get(stored.mbr.stream_id, -1))
             if not mgr.is_last_holder(klow, khigh):
                 continue
             for target in mgr.replica_targets(klow, khigh):

@@ -1,16 +1,15 @@
 """Baseline architectures the paper argues against (Sec. IV-A).
 
-Implemented on the same simulator and workload as the real middleware so
-that the comparison benches measure architecture, not harness.
+Each strawman is a :class:`~repro.core.system.StreamIndexSystem` with
+its own placement and a one-hop fabric: the same runtime, roles,
+workload and accounting as the real middleware, so the comparison
+benches measure placement, not harness.
 """
 
-from .base import BaselineNode, BaselineSystem
 from .centralized import CentralizedIndexSystem
 from .flooding import FloodingIndexSystem
 
 __all__ = [
-    "BaselineNode",
-    "BaselineSystem",
     "CentralizedIndexSystem",
     "FloodingIndexSystem",
 ]

@@ -1,65 +1,53 @@
 """The centralized strawman: one data center indexes everything.
 
 Every stream source ships each MBR to the dedicated center; every query
-is sent to the center; the center alone matches and responds.  The
-paper's objection (Sec. IV-A): the center "will immediately become a
-bottleneck in the system ... limiting the system scalability, and a
-failure of this single node will render the whole system completely
-non-functional".  The baseline-comparison bench quantifies exactly
-that: the center's message load grows linearly with N while the
-distributed design keeps per-node load near-constant.
+is sent to the center; the center alone matches, aggregates and
+responds.  The paper's objection (Sec. IV-A): the center "will
+immediately become a bottleneck in the system ... limiting the system
+scalability, and a failure of this single node will render the whole
+system completely non-functional".  The baseline-comparison bench
+quantifies exactly that: the center's message load grows linearly with
+N while the distributed design keeps per-node load near-constant.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..core.mbr import MBR
-from ..core.protocol import KIND, MbrPublish, SimilaritySubscribe
+from ..core.middleware import StreamIndexNode
+from ..core.placement import ContentPlacement
 from ..core.queries import SimilarityQuery
-from .base import BaselineNode, BaselineSystem
+from ..core.system import StreamIndexSystem
+from .onehop import OneHopTransport
 
-__all__ = ["CentralizedIndexSystem"]
+__all__ = ["CenterPlacement", "CentralizedIndexSystem"]
 
 
-class CentralizedIndexSystem(BaselineSystem):
-    """All summaries and queries converge on node 0 (the "center")."""
+class CenterPlacement(ContentPlacement):
+    """Everything is held, and every query aggregated, at the center:
+    the node first in ring order."""
 
-    CENTER = 0
+    def __init__(self, system) -> None:
+        super().__init__(system)
+        self.center_id = system.ring.node_ids[0]
+
+    def mbr_keys(self, mbr: MBR, source_id: int) -> Tuple[int, int]:
+        return self.center_id, self.center_id
+
+    def query_keys(
+        self, query: SimilarityQuery, client_id: int
+    ) -> Tuple[int, int, int]:
+        return self.center_id, self.center_id, self.center_id
+
+
+class CentralizedIndexSystem(StreamIndexSystem):
+    """All summaries and queries converge on one node (the "center")."""
+
+    placement_class = CenterPlacement
+    transport_class = OneHopTransport
 
     @property
-    def center(self) -> BaselineNode:
+    def center(self) -> StreamIndexNode:
         """The dedicated data center holding the global index."""
-        return self.app(self.CENTER)
-
-    def handle_mbr(self, source: BaselineNode, mbr: MBR) -> None:
-        """Ship the MBR to the center (stored locally if we *are* it)."""
-        if source.node_id == self.CENTER:
-            source.index.add_mbr(mbr, expires=self.sim.now + self.config.workload.bspan_ms)
-            return
-        # the key range is meaningless here (no content routing), but the
-        # wrapped payload lets the center reuse the registry dispatch
-        payload = MbrPublish(
-            mbr=mbr,
-            source_id=source.node_id,
-            low_key=0,
-            high_key=0,
-            lifespan_ms=self.config.workload.bspan_ms,
-        )
-        self.send(source, self.CENTER, KIND.MBR, payload)
-
-    def post_similarity_query(self, app: BaselineNode, query: SimilarityQuery) -> int:
-        """Send the query to the center, which serves it for its lifespan."""
-        feature = query.feature_vector(self.config.k)
-        sub = SimilaritySubscribe(
-            query_id=query.query_id,
-            client_id=app.node_id,
-            feature=feature,
-            radius=query.radius,
-            low_key=0,
-            high_key=0,
-            middle_key=0,
-            lifespan_ms=query.lifespan_ms,
-        )
-        app.similarity_results.setdefault(query.query_id, [])
-        self.network.stats.record_origination(KIND.QUERY)
-        self.send(app, self.CENTER, KIND.QUERY, sub)
-        return query.query_id
+        return self.app_by_id(self.placement.center_id)

@@ -5,7 +5,8 @@ updates cost zero network messages.  The price is paid at query time:
 "answering such queries requires communication with every data center
 in the system ... which is highly inefficient" (Sec. IV-A).  Every
 similarity query is copied to all N-1 other nodes; each node matches
-against its local summaries and responds directly to the client.
+against its local summaries and reports to the client, which
+aggregates its own query.
 
 The first copy of a flooded query is counted under ``KIND.QUERY`` (the
 origination) and the remaining N-2 under ``KIND.QUERY_SPAN``, so the
@@ -15,45 +16,32 @@ against ~0.1·N for the content-routed range and 1 for centralized.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..core.mbr import MBR
-from ..core.protocol import KIND, SimilaritySubscribe
+from ..core.placement import ContentPlacement
 from ..core.queries import SimilarityQuery
-from .base import BaselineNode, BaselineSystem
+from ..core.system import StreamIndexSystem
+from .onehop import OneHopTransport
 
-__all__ = ["FloodingIndexSystem"]
+__all__ = ["LocalPlacement", "FloodingIndexSystem"]
 
 
-class FloodingIndexSystem(BaselineSystem):
+class LocalPlacement(ContentPlacement):
+    """An MBR stays at its source; a query covers the whole circle, from
+    the client's successor round to the client, which aggregates it."""
+
+    def mbr_keys(self, mbr: MBR, source_id: int) -> Tuple[int, int]:
+        return source_id, source_id
+
+    def query_keys(
+        self, query: SimilarityQuery, client_id: int
+    ) -> Tuple[int, int, int]:
+        return (client_id + 1) % self.key_space, client_id, client_id
+
+
+class FloodingIndexSystem(StreamIndexSystem):
     """Summaries stay at their source; queries flood the whole network."""
 
-    def handle_mbr(self, source: BaselineNode, mbr: MBR) -> None:
-        """Store locally — stream updates are free in this architecture."""
-        source.index.add_mbr(mbr, expires=self.sim.now + self.config.workload.bspan_ms)
-
-    def post_similarity_query(self, app: BaselineNode, query: SimilarityQuery) -> int:
-        """Copy the subscription to every data center."""
-        feature = query.feature_vector(self.config.k)
-        sub = SimilaritySubscribe(
-            query_id=query.query_id,
-            client_id=app.node_id,
-            feature=feature,
-            radius=query.radius,
-            low_key=0,
-            high_key=0,
-            middle_key=0,
-            lifespan_ms=query.lifespan_ms,
-        )
-        app.similarity_results.setdefault(query.query_id, [])
-        self.network.stats.record_origination(KIND.QUERY)
-        first = True
-        for other in self.all_apps:
-            if other is app:
-                # the client itself also serves the query over its own streams
-                app.index.add_similarity_sub(
-                    sub, expires=self.sim.now + sub.lifespan_ms
-                )
-                continue
-            kind = KIND.QUERY if first else KIND.QUERY_SPAN
-            first = False
-            self.send(app, other.node_id, kind, sub)
-        return query.query_id
+    placement_class = LocalPlacement
+    transport_class = OneHopTransport

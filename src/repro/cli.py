@@ -389,8 +389,7 @@ def cmd_baselines(args, out) -> int:
             donor = system.app(int(rng.integers(args.nodes)))
             src = next(iter(donor.sources.values()))
             if src.extractor.ready:
-                system.post_similarity_query(
-                    system.app(int(rng.integers(args.nodes))),
+                system.app(int(rng.integers(args.nodes))).post_similarity_query(
                     SimilarityQuery(
                         pattern=src.extractor.window.values(),
                         radius=0.1,

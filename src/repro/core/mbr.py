@@ -234,16 +234,6 @@ class MBR:
         """Sum of side lengths — a robust size measure for flat boxes."""
         return float(np.sum(self.high - self.low))
 
-    def copy(self) -> "MBR":
-        """An independent deep copy."""
-        return MBR(
-            low=self.low.copy(),
-            high=self.high.copy(),
-            stream_id=self.stream_id,
-            count=self.count,
-            created=self.created,
-        )
-
 
 class MBRBatcher:
     """Groups every ``w`` consecutive feature vectors into one MBR.

@@ -12,11 +12,11 @@ decorator::
         def on_mbr(self, message, payload): ...
 
 A :class:`DispatchTable` collects those declarations into a payload-type
--> bound-handler map.  It is shared infrastructure: the full
-:class:`~repro.core.runtime.NodeRuntime` builds one for the four Fig. 5
-roles, and the baseline strawmen (:mod:`repro.baselines`) build one for
-their reduced role sets — the declarative dispatch replaces every
-hand-written ``if isinstance(payload, ...)`` ladder.
+-> bound-handler map; :class:`~repro.core.runtime.NodeRuntime` builds
+one for the four Fig. 5 roles on every node — the paper's system and
+the Sec. IV-A strawmen (:mod:`repro.baselines`) alike.  The declarative
+dispatch replaces every hand-written ``if isinstance(payload, ...)``
+ladder.
 
 Handler registration is validated against the protocol registry
 (:data:`repro.core.protocol.PAYLOAD_REGISTRY`): a handler for an
@@ -60,9 +60,7 @@ class RoleService:
 
     A service owns one role's state and handlers and reaches the
     cross-cutting machinery (overlay sends, reliable delivery, stats,
-    sibling roles) through the runtime it is constructed with.  The
-    baseline strawmen pass their node object instead — services only
-    rely on the attributes they actually use.
+    sibling roles) through the runtime it is constructed with.
     """
 
     #: short role name, used in dispatch tables and docs
@@ -72,8 +70,6 @@ class RoleService:
         self.runtime = runtime
 
     # -- convenience accessors into the runtime ------------------------
-    # (services built on a reduced runtime, e.g. the baselines, simply
-    # must not touch the accessors their runtime cannot satisfy)
     @property
     def node(self):
         """The Chord node this data center sits on."""

@@ -16,7 +16,6 @@ import numpy as np
 
 from ...chord.hashing import stream_identifier
 from ...sim.network import Message
-from ..multicast import middle_key
 from ..protocol import (
     KIND,
     HierarchyQuery,
@@ -63,25 +62,22 @@ class ClientService(RoleService):
     def post_similarity_query(self, query: SimilarityQuery) -> int:
         """Post a continuous similarity query (Sec. IV-E); returns its id.
 
-        The pattern must be one window long; its feature vector and the
-        radius define the key range ``[h(q1-ε), h(q1+ε)]`` the
-        subscription is replicated over.
+        The pattern must be one window long.  The system's placement
+        names the key range the subscription is replicated over —
+        ``[h(q1-ε), h(q1+ε)]`` in the paper — and the key whose owner
+        aggregates it.
         """
         if len(query.pattern) != self.cfg.window_size:
             raise ValueError(
                 f"pattern length {len(query.pattern)} != window size {self.cfg.window_size}"
             )
         feature = query.feature_vector(self.cfg.k)
-        vlow, vhigh = query.value_interval(self.cfg.k)
-        klow, khigh = self.system.mapper.key_range(
-            max(-1.0, vlow), min(1.0, vhigh)
-        )
+        klow, khigh, mid = self.system.placement.query_keys(query, self.node_id)
         if (
             self.system.hierarchy_index is not None
             and query.radius > self.cfg.hierarchy_radius_threshold
         ):
             return self._post_hierarchy_query(query, feature, klow, khigh)
-        mid = middle_key(klow, khigh, self.node.space.size)
         payload = SimilaritySubscribe(
             query_id=query.query_id,
             client_id=self.node_id,

@@ -198,9 +198,9 @@ class SourceService(RoleService):
             self.publish_mbr(mbr)
 
     def publish_mbr(self, mbr) -> None:
-        """Route one MBR of summaries to its key range (Sec. IV-B/G)."""
-        vlow, vhigh = mbr.first_coordinate_interval
-        klow, khigh = self.system.mapper.key_range(vlow, vhigh)
+        """Send one MBR of summaries to the key range the system's
+        placement holds it over (Sec. IV-B/G; Sec. IV-A for the strawmen)."""
+        klow, khigh = self.system.placement.mbr_keys(mbr, self.node_id)
         src = self.sources.get(mbr.stream_id)
         if src is not None and isinstance(src.batcher, AdaptiveMBRBatcher):
             # Sec. VI-A feedback: estimate how many nodes this box will

@@ -38,6 +38,7 @@ from .mapping import LinearKeyMapper
 from .metrics import FigureMetrics
 from .middleware import StreamIndexNode
 from .multicast import RangeMulticast
+from .placement import ContentPlacement
 
 __all__ = ["StreamIndexSystem"]
 
@@ -63,7 +64,17 @@ class StreamIndexSystem:
         Explicit network fault model; overrides the convenience
         ``loss_rate`` / ``duplicate_rate`` config knobs.  ``None`` with
         both at zero keeps the paper's perfect fabric.
+
+    Subclasses change what the deployment is through two class
+    attributes: :attr:`placement_class` decides which nodes hold an MBR
+    and a subscription, :attr:`transport_class` how far a message
+    travels.  The Sec. IV-A strawmen (:mod:`repro.baselines`) set both.
     """
+
+    #: where MBRs and subscriptions are held (``system.placement``)
+    placement_class = ContentPlacement
+    #: the fabric the runtimes send through (``system.transport``)
+    transport_class = SimTransport
 
     def __init__(
         self,
@@ -108,10 +119,11 @@ class StreamIndexSystem:
         self.ring.build()
         self.overlay = DhtOverlay(self.ring, self.network)
         self.mapper = mapper if mapper is not None else LinearKeyMapper(self.ring.space)
+        self.placement = self.placement_class(self)
         self.multicast = RangeMulticast(self.overlay, self.config.multicast)
         #: the Transport seam: dispatch/reliability/roles send and read
         #: the clock through this, never through Network directly
-        self.transport = SimTransport(
+        self.transport = self.transport_class(
             sim=self.sim,
             network=self.network,
             overlay=self.overlay,

@@ -58,6 +58,7 @@ from ..core.config import MiddlewareConfig
 from ..core.mapping import LinearKeyMapper
 from ..core.middleware import StreamIndexNode
 from ..core.multicast import RangeMulticast
+from ..core.placement import ContentPlacement
 from ..core.queries import SimilarityQuery
 from ..sim.network import Message, MessageStats
 from ..sim.rng import RngRegistry
@@ -250,7 +251,7 @@ class PeerSystem:
     """The slice of ``StreamIndexSystem`` a socket-backed node needs.
 
     :class:`~repro.core.runtime.NodeRuntime` and the role services read
-    ``config`` / ``transport`` / ``rngs`` / ``mapper`` /
+    ``config`` / ``transport`` / ``rngs`` / ``placement`` /
     ``hierarchy_index`` from their system; everything else they consume
     goes through the Transport seam.
     """
@@ -260,6 +261,7 @@ class PeerSystem:
         self.config = peer.config
         self.rngs = RngRegistry(seed)
         self.mapper = LinearKeyMapper(peer.ring.space)
+        self.placement = ContentPlacement(self)
         self.hierarchy_index = None
 
     @property

@@ -572,22 +572,10 @@ def test_syntax_error_reports_e000_not_a_crash(tmp_path):
     assert "syntax error" in findings[0].message
 
 
-def test_default_excludes_skip_baselines_and_tests(tmp_path):
+def test_default_excludes_skip_tests(tmp_path):
     clean_tree(tmp_path)
-    # a strawman baseline reusing the role name with an illegal send
-    # must not pollute the whole-program analysis
-    write(
-        tmp_path,
-        "proj/baselines/strawman.py",
-        """\
-        class ClientService:
-            role = "aggregator"
-
-            def cheat(self):
-                payload = Ping()
-                self.runtime.reliable_route(payload, dest_key=0)
-        """,
-    )
+    # a test tree full of hand-built partial payloads must not pollute
+    # the whole-program analysis
     write(
         tmp_path,
         "proj/tests/test_fake.py",
@@ -600,7 +588,7 @@ def test_default_excludes_skip_baselines_and_tests(tmp_path):
     )
     _, findings = analyze_flow([tmp_path / "proj"])
     assert findings == []
-    assert DEFAULT_EXCLUDES == ("baselines", "tests", "test")
+    assert DEFAULT_EXCLUDES == ("tests", "test")
 
 
 # ------------------------------------------------------- the real tree

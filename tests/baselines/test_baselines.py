@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import check_index_placement, check_invariants
 from repro.baselines import CentralizedIndexSystem, FloodingIndexSystem
 from repro.core import KIND, MiddlewareConfig, SimilarityQuery, WorkloadConfig
 
@@ -62,8 +63,8 @@ def test_centralized_query_end_to_end():
     system.warmup()
     sid, pattern = live_pattern(system)
     client = system.app(3)
-    qid = system.post_similarity_query(
-        client, SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=8_000.0)
+    qid = client.post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=8_000.0)
     )
     system.run(4_000.0)
     assert any(m.stream_id == sid for m in client.similarity_results[qid])
@@ -77,8 +78,9 @@ def test_centralized_center_is_bottleneck():
     system.run(8_000.0)
     loads = system.network.stats.load_by_node()
     # one endpoint of (almost) every message is the center
-    assert loads[system.CENTER] / sum(loads.values()) > 0.4
-    assert loads[0] == max(loads.values())
+    center = system.center.node_id
+    assert loads[center] / sum(loads.values()) > 0.4
+    assert loads[center] == max(loads.values())
 
 
 def test_centralized_center_sources_own_stream_without_messages():
@@ -86,7 +88,8 @@ def test_centralized_center_sources_own_stream_without_messages():
     system.attach_random_walk_streams()
     system.warmup()
     # center's own MBRs were stored without a single MBR message from it
-    assert system.network.stats.sends.get((0, KIND.MBR), 0) == 0
+    center = system.center.node_id
+    assert system.network.stats.sends.get((center, KIND.MBR), 0) == 0
 
 
 def test_flooding_mbrs_stay_local():
@@ -106,8 +109,8 @@ def test_flooding_query_reaches_all_nodes():
     system.reset_stats()
     client = system.app(2)
     pattern = np.sin(np.linspace(0, 2 * np.pi, 16)) + 50
-    system.post_similarity_query(
-        client, SimilarityQuery(pattern=pattern, radius=0.05, lifespan_ms=5_000.0)
+    client.post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.05, lifespan_ms=5_000.0)
     )
     system.run(1_000.0)
     stats = system.network.stats
@@ -123,8 +126,8 @@ def test_flooding_query_end_to_end():
     system.warmup()
     sid, pattern = live_pattern(system)
     client = system.app(0)
-    qid = system.post_similarity_query(
-        client, SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=8_000.0)
+    qid = client.post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=8_000.0)
     )
     system.run(4_000.0)
     assert any(m.stream_id == sid for m in client.similarity_results[qid])
@@ -138,8 +141,7 @@ def test_flooding_query_overhead_grows_with_n():
         system.reset_stats()
         pattern = np.cos(np.linspace(0, 2 * np.pi, 16)) + 50
         for i in range(3):
-            system.post_similarity_query(
-                system.app(i),
+            system.app(i).post_similarity_query(
                 SimilarityQuery(pattern=pattern, radius=0.05, lifespan_ms=4_000.0),
             )
         system.run(500.0)
@@ -154,8 +156,8 @@ def test_subscription_expiry_in_baselines():
     system.attach_random_walk_streams()
     system.warmup()
     pattern = np.sin(np.linspace(0, 2 * np.pi, 16)) + 50
-    qid = system.post_similarity_query(
-        system.app(0), SimilarityQuery(pattern=pattern, radius=0.05, lifespan_ms=1_000.0)
+    qid = system.app(0).post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.05, lifespan_ms=1_000.0)
     )
     system.run(4_000.0)
     assert all(qid not in a.index.similarity_subs for a in system.all_apps)
@@ -177,3 +179,48 @@ def test_baseline_metrics_schema_matches_middleware():
         "Responses internal",
         "Responses in transit",
     }
+
+
+def test_centralized_finds_donor_under_loss():
+    """The strawmen run the runtime's fault injector and reliable delivery."""
+    system = CentralizedIndexSystem(
+        8, small_config(loss_rate=0.05, reliable_delivery=True), seed=12
+    )
+    system.attach_random_walk_streams()
+    system.warmup()
+    system.reset_stats()
+    sid, pattern = live_pattern(system)
+    client = next(a for a in system.all_apps if a is not system.center)
+    qid = client.post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=8_000.0)
+    )
+    system.run(4_000.0)
+    stats = system.network.stats
+    assert stats.total_drops() > 0
+    assert sum(stats.retransmissions.values()) > 0
+    assert any(m.stream_id == sid for m in client.similarity_results[qid])
+    report = check_invariants(system)
+    assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize("cls", [CentralizedIndexSystem, FloodingIndexSystem])
+def test_strawmen_keep_runtime_invariants(cls):
+    system = cls(8, small_config(), seed=13)
+    system.attach_random_walk_streams()
+    system.warmup()
+    _, pattern = live_pattern(system)
+    system.app(1).post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=8_000.0)
+    )
+    system.run(2_000.0)
+    report = check_invariants(system)
+    assert report.ok, report.summary()
+    # the index check asks the strawman's placement: an MBR copied to a
+    # node that placement does not name is flagged
+    now = system.sim.now
+    holder = next(a for a in system.all_apps if a.index.mbr_count(now))
+    stored = next(iter(holder.index.live_mbrs(now)))
+    other = next(a for a in system.all_apps if a is not holder)
+    other.index.add_mbr(stored.mbr, expires=stored.expires)
+    misplaced = check_index_placement(system)
+    assert [v.subject for v in misplaced.violations] == [f"N{other.node_id}"]

@@ -111,15 +111,6 @@ def test_volume_and_margin():
     assert m.margin() == 5.0
 
 
-def test_copy_is_independent():
-    m = box([0.0], [1.0], stream_id="s", count=3)
-    c = m.copy()
-    c.extend(np.array([5.0]))
-    assert m.high[0] == 1.0
-    assert c.high[0] == 5.0
-    assert c.stream_id == "s"
-
-
 def test_paper_figure4_example():
     """Fig. 4: MBR with low 0.09/0.12 and high 0.21/0.40-ish corners;
     its first-coordinate interval [0.09, 0.21] maps to keys K17..K19 on

@@ -11,6 +11,10 @@ the counters.
 import hashlib
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -268,3 +272,33 @@ def test_published_mbrs_match_pinned_digest(monkeypatch, normalization):
     """
     digest = _published_mbr_digest(monkeypatch, normalization)
     assert digest == PUBLISHED_MBRS_SHA256[normalization]
+
+
+def test_pins_hold_under_hash_seeds_1_and_2():
+    """Set-order iteration must not move a digest: every test above also
+    passes under ``PYTHONHASHSEED`` 1 and 2.
+
+    Runs this file in two child interpreters at once.  A child runs with
+    its hash seed pinned, which is what skips this test there, so the
+    children do not spawn again.
+    """
+    if os.environ.get("PYTHONHASHSEED"):
+        pytest.skip("the hash seed is pinned for this run")
+    here = pathlib.Path(__file__).resolve()
+    src = str(pathlib.Path(queries.__file__).resolve().parents[2])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(here)],
+            cwd=here.parents[2],
+            env=dict(env, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    for seed, child in zip(("1", "2"), children):
+        out, _ = child.communicate(timeout=600)
+        assert child.returncode == 0, f"PYTHONHASHSEED={seed}:\n{out}"
