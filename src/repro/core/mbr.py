@@ -150,10 +150,17 @@ class MBR:
         decoder): the same ``low <= high`` check as the constructor, in
         the same float64 arithmetic, without its two row copies.  The
         check runs on Python floats, which beats four numpy calls at the
-        handful of dimensions a feature vector has.
+        handful of dimensions a feature vector has.  The array must be
+        C-contiguous, as every box's bounds are: the index stacks rows
+        by their raw bytes.
         """
-        if bounds.dtype != np.float64 or bounds.ndim != 2 or bounds.shape[0] != 2:
-            raise ValueError("bounds must be a (2, d) float64 array")
+        if (
+            bounds.dtype != np.float64
+            or bounds.ndim != 2
+            or bounds.shape[0] != 2
+            or not bounds.flags.c_contiguous
+        ):
+            raise ValueError("bounds must be a C-contiguous (2, d) float64 array")
         low, high = bounds.tolist()
         for lo, hi in zip(low, high):
             if lo > hi + 1e-12:

@@ -461,12 +461,7 @@ class ReplicationManager:
 
     def purge(self, now: float) -> None:
         """Drop expired replica copies, placements, and hints."""
-        for stream_id in list(self.store):
-            entries = [e for e in self.store[stream_id] if e.expires > now]
-            if entries:
-                self.store[stream_id] = entries
-            else:
-                del self.store[stream_id]
+        self._matcher.purge(now)
         for key in [k for k, p in self.outbound.items() if p.expires <= now]:
             del self.outbound[key]
         self.hints = [e for e in self.hints if e.expires > now]

@@ -58,6 +58,21 @@ def test_probe_equals_scalar_reference_exactly():
             assert math.isclose(gd, wd, rel_tol=0.0, abs_tol=0.0)
 
 
+def test_batched_dot_equals_per_row_dot_bit_for_bit():
+    """The kernel's exact step, ``sqrt(vecdot(d, d))`` over a C-ordered
+    ``(survivors, dims)`` block of clipped distances, equals the per-row
+    ``sqrt(dot(d, d))`` of ``MBR.mindist`` bit for bit: both run the
+    same BLAS dot on each contiguous row."""
+    rng = np.random.default_rng(7)
+    for dims in [*range(1, 33), 64, 100]:
+        for n in (1, 2, 7, 64, 301):
+            scale = 10.0 ** rng.integers(-6, 4, size=(n, 1))
+            block = np.maximum(rng.normal(size=(2, n, dims)), 0.0) * scale
+            delta = block[0] + block[1]  # as the kernel builds it
+            got = np.sqrt(np.vecdot(delta, delta)).tolist()
+            assert got == [math.sqrt(np.dot(row, row)) for row in delta], (dims, n)
+
+
 def similarity_sub(query_id, feature, radius):
     return SimilaritySubscribe(
         query_id=query_id,

@@ -32,6 +32,8 @@ def test_from_bounds_adopts_the_array_and_checks_like_the_constructor():
         MBR.from_bounds(np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         MBR.from_bounds(np.zeros((3, 2)))
+    with pytest.raises(ValueError):  # a strided view: the index reads raw bytes
+        MBR.from_bounds(np.zeros((2, 4))[:, ::2])
 
 
 def test_of_point_degenerate():

@@ -179,6 +179,27 @@ def test_aggregator_created_at_middle_key_owner():
     assert agg.client_id == client.node_id
 
 
+def test_middle_key_owner_builds_aggregator_at_a_tick_without_candidates():
+    """Lazy takeover (``AggregatorService.aggregator_for``): a holder that
+    owns a sub's middle key but holds no aggregator for it, as after its
+    first owner died, builds one at its next detect tick even when that
+    tick finds no candidate, because the tick visits every sub."""
+    system = make_system(n=10, seed=2)  # no streams: no MBR is stored
+    client = system.app(0)
+    pattern = np.sin(np.linspace(0, 4 * np.pi, system.config.window_size))
+    qid = client.post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=9_000.0)
+    )
+    system.run(1_500.0)
+    (owner,) = [a for a in system.all_apps if qid in a.aggregators]
+    del owner.aggregators[qid]
+    assert qid in owner.index.similarity_subs
+    assert owner.index.mbr_count() == 0
+    owner.runtime.holder.on_notification_tick(system.sim.now)
+    assert qid in owner.aggregators
+    assert owner.aggregators[qid].client_id == client.node_id
+
+
 def test_matches_deduplicated_at_aggregator():
     system = make_system(n=12, seed=4)
     system.attach_random_walk_streams()

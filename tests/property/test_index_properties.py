@@ -2,6 +2,7 @@
 index's delta matching."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.chord import IdSpace
 from repro.core import MBR, LinearKeyMapper, LocalIndex, MBRBatcher
+from repro.core import index as index_module
 from repro.core.adaptive import AdaptiveMBRBatcher
 from repro.core.protocol import ReplicaPublish, SimilaritySubscribe
 from repro.core.replication import ReplicationManager
@@ -121,31 +123,51 @@ def test_no_false_dismissals_through_batching(points, q, radius):
 # ---------------------------------------------------------------------------
 # a coarse grid makes matches, ties and exact-radius boundaries common
 grid = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
-points = st.one_of(st.tuples(grid, grid), st.tuples(coord, coord))
-widths = st.tuples(st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([0.0, 0.25, 0.5]))
 lives = st.sampled_from([0.5, 1.0, 2.0, 5.0, 20.0])
 streams = st.sampled_from(["a", "b", "c", "d", "e"])
-index_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("mbr"), streams, points, widths, lives),
-        st.tuples(st.just("replica"), streams, points, widths, lives),
-        st.tuples(
-            st.just("sub"),
-            st.integers(1, 3),
-            points,
-            st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
-            lives,
-        ),
+
+
+@st.composite
+def index_scenarios(draw):
+    """A dimensionality, a kernel chunk size and a run of index operations.
+
+    ``chunk`` is the kernel's ``CHUNK_BYTES`` in (sub, row) pairs, or
+    ``None`` for the default: a few pairs split both chunk loops.  An
+    ``mbr`` op stores up to three copies of one box, so a stream holds
+    several rows at tied distances.  A run starts with stored rows and
+    ends with a tick.
+    """
+    dims = draw(st.sampled_from([1, 2, 4, 16]))
+    point = st.one_of(
+        st.lists(grid, min_size=dims, max_size=dims),
+        st.lists(coord, min_size=dims, max_size=dims),
+    )
+    width = st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=dims, max_size=dims)
+    mbr = st.tuples(st.just("mbr"), streams, point, width, lives, st.integers(1, 3))
+    sub = st.tuples(
+        st.just("sub"),
+        st.integers(1, 3),
+        point,
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+        lives,
+    )
+    tick = st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    op = st.one_of(
+        mbr,
+        mbr,
+        st.tuples(st.just("replica"), streams, point, width, lives),
+        sub,
         st.tuples(st.just("refresh"), st.integers(1, 3), lives),
         st.tuples(st.just("purge")),
         st.tuples(st.just("replica_purge")),
         st.tuples(st.just("take_streams"), st.sets(streams, max_size=2)),
         st.tuples(st.just("take_low"), grid),
-        st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
-    ),
-    min_size=1,
-    max_size=40,
-)
+        tick,
+        tick,
+    )
+    chunk = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    ops = draw(st.lists(mbr, min_size=1, max_size=6)) + draw(st.lists(op, max_size=40))
+    return dims, chunk, ops + [("tick", 0.0)]
 
 
 def _scalar_scan(store, feature, radius, now, skip, slack):
@@ -181,14 +203,23 @@ def _box(stream_id, point, width):
     return MBR(low=low, high=low + np.array(width), stream_id=stream_id)
 
 
-@given(index_ops)
+@given(index_scenarios())
 @settings(max_examples=200, deadline=None)
-def test_delta_matching_equals_full_rescan(ops):
+def test_delta_matching_equals_full_rescan(scenario):
     """Each tick's candidates equal a rescan of everything with the scalar
     loop: same streams, same order, bit-identical distances, and the same
     ``reported`` sets — for the primary store and the replica store, under
     any interleaving of inserts (new streams, streams re-added after
-    expiring), subscriptions and refreshes, purges and removals."""
+    expiring, tied copies), subscriptions and refreshes, purges and
+    removals, in 1 to 16 dimensions and with the kernel's chunks cut
+    down to a few (sub, row) pairs."""
+    dims, chunk, ops = scenario
+    chunk_bytes = index_module.CHUNK_BYTES if chunk is None else 16 * dims * chunk
+    with mock.patch.object(index_module, "CHUNK_BYTES", chunk_bytes):
+        _replay_against_rescan(ops)
+
+
+def _replay_against_rescan(ops):
     holder = _stub_holder()
     index = holder.index
     replication = ReplicationManager(holder)
@@ -196,8 +227,9 @@ def test_delta_matching_equals_full_rescan(ops):
     for op in ops:
         kind = op[0]
         if kind == "mbr":
-            _, sid, point, width, life = op
-            index.add_mbr(_box(sid, point, width), expires=now + life)
+            _, sid, point, width, life, copies = op
+            for _ in range(copies):
+                index.add_mbr(_box(sid, point, width), expires=now + life)
         elif kind == "replica":
             _, sid, point, width, life = op
             replication.install_replica(
