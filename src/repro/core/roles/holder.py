@@ -317,14 +317,13 @@ class IndexHolderService(RoleService):
                         agg.absorb(candidates)
                 continue
             if candidates:
-                rep = reports.setdefault(
-                    mid,
-                    SimilarityReport(
+                rep = reports.get(mid)
+                if rep is None:
+                    rep = reports[mid] = SimilarityReport(
                         reporter_id=self.node_id,
                         middle_key=mid,
                         delivery_id=next_delivery_id(),
-                    ),
-                )
+                    )
                 rep.matches[stored.sub.query_id] = candidates
                 if replicated:
                     for sid, _ in candidates:
