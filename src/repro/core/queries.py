@@ -142,7 +142,8 @@ class SimilarityMatch:
 
     ``distance_bound`` is the feature-space (lower-bound) distance at
     the reporting node; exact verification against raw windows can be
-    done at the client or source if required.
+    done at the client or source if required.  ``reported_by`` is the
+    node id of the aggregator that pushed the match to the client.
     """
 
     query_id: int

@@ -300,7 +300,7 @@ class ClientService(RoleService):
                         query_id=payload.query_id,
                         stream_id=stream_id,
                         distance_bound=dist,
-                        reported_by=payload.client_id,
+                        reported_by=message.origin,
                         time=now,
                     )
                 )

@@ -200,6 +200,23 @@ def test_middle_key_owner_builds_aggregator_at_a_tick_without_candidates():
     assert owner.aggregators[qid].client_id == client.node_id
 
 
+def test_matches_name_the_aggregator_that_pushed_them():
+    system = make_system(n=10, seed=2)
+    system.attach_random_walk_streams()
+    system.warmup()
+    client = system.app(0)
+    pattern = system.app(1).sources["stream-1"].extractor.window.values()
+    qid = client.post_similarity_query(
+        SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=9_000.0)
+    )
+    system.run(1_500.0)
+    (owner,) = [a for a in system.all_apps if qid in a.aggregators]
+    assert owner.node_id != client.node_id
+    matches = client.similarity_results[qid]
+    assert matches
+    assert {m.reported_by for m in matches} == {owner.node_id}
+
+
 def test_matches_deduplicated_at_aggregator():
     system = make_system(n=12, seed=4)
     system.attach_random_walk_streams()

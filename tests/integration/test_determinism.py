@@ -128,7 +128,7 @@ def test_lossy_seed11_ledger_matches_pinned_digest():
 #: default query workload, seed 0): the default path's literal pin.
 FIG6A_QUICK_SHA256 = "2cc1083e40e9c80f36559c169ee1396d902da6b02137c95c65850efeb34f1378"
 #: :func:`_answer_digest` of the same run
-FIG6A_QUICK_ANSWERS_SHA256 = "3bee9a32fd0c9d40571515dbc93f99e0cc3c674bc0dd3daf845e48575fb0b7fc"
+FIG6A_QUICK_ANSWERS_SHA256 = "9896f2015620119ea19c6fc657fbb7cdf443b09ee32bf3594b49669251d8f15a"
 
 
 def test_loss_free_fig6a_ledger_matches_pinned_digest(fresh_query_ids):
@@ -151,7 +151,7 @@ def test_loss_free_fig6a_ledger_matches_pinned_digest(fresh_query_ids):
 
 #: ledger and answer digests of the replicated lossy run below (seed 11)
 REPLICATED_LEDGER_SHA256 = "b88caf939f60b09e1864e4318d6217f627854290b65d6f935dfe861a65b1ffce"
-REPLICATED_ANSWERS_SHA256 = "689c25a5cc3b113ef5a406b24e6a4a365a0b4b1bb9828e101e89ae66b9244712"
+REPLICATED_ANSWERS_SHA256 = "2ffb87dbca0504164861e5359a0da6ae2f48cc640942d31ac13fd11820956077"
 
 
 def test_replicated_lossy_run_matches_pinned_digests(fresh_query_ids):

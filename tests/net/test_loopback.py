@@ -55,6 +55,11 @@ def normalize_answers(matches):
     return sorted({m.stream_id: round(m.distance_bound, 9) for m in matches}.items())
 
 
+def reporters(matches, apps, qid):
+    """Who the answers name as their aggregator, and who aggregates."""
+    return {m.reported_by for m in matches}, {a.node_id for a in apps if qid in a.aggregators}
+
+
 def sim_reference():
     """Placements and query answers from the deterministic simulator."""
     system = StreamIndexSystem(N_NODES, make_config(), seed=SEED)
@@ -70,8 +75,8 @@ def sim_reference():
     query = SimilarityQuery(pattern=list(PATTERN), radius=RADIUS, lifespan_ms=60_000.0)
     qid = apps["dc-0"].post_similarity_query(query)
     system.run(system.sim.now + 2_000.0)
-    answers = normalize_answers(apps["dc-0"].similarity_results.get(qid, []))
-    return placements, answers
+    matches = apps["dc-0"].similarity_results.get(qid, [])
+    return placements, normalize_answers(matches), reporters(matches, apps.values(), qid)
 
 
 async def cluster_run():
@@ -104,22 +109,22 @@ async def cluster_run():
             pattern=list(PATTERN), radius=RADIUS, lifespan_ms=60_000.0
         )
         qid = by_name["dc-0"].app.post_similarity_query(query)
-        answers = []
+        matches = []
         for _ in range(40):  # up to 10 s for results to stream back
             await asyncio.sleep(0.25)
             matches = by_name["dc-0"].app.similarity_results.get(qid, [])
             if matches:
-                answers = normalize_answers(matches)
                 break
-        return placements, answers
+        who = reporters(matches, [p.app for p in peers], qid)
+        return placements, normalize_answers(matches), who
     finally:
         for peer in reversed(peers):
             await peer.stop()
 
 
 def test_loopback_cluster_matches_sim_reference():
-    sim_placements, sim_answers = sim_reference()
-    net_placements, net_answers = asyncio.run(cluster_run())
+    sim_placements, sim_answers, sim_who = sim_reference()
+    net_placements, net_answers, net_who = asyncio.run(cluster_run())
 
     # the sim reference must be non-trivial or the comparison is vacuous
     assert any(streams for streams in sim_placements.values())
@@ -127,6 +132,10 @@ def test_loopback_cluster_matches_sim_reference():
 
     assert net_placements == sim_placements
     assert net_answers == sim_answers
+    # every answer names the node that aggregated it, in both runtimes
+    reported_by, aggregators = sim_who
+    assert reported_by == aggregators and len(aggregators) == 1
+    assert net_who == sim_who
 
 
 def test_departed_peer_leaves_membership():
