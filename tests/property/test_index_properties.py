@@ -152,6 +152,7 @@ def index_scenarios(draw):
         lives,
     )
     tick = st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    # inserts and ticks weigh double, so that most ticks have work to do
     op = st.one_of(
         mbr,
         mbr,
@@ -165,6 +166,7 @@ def index_scenarios(draw):
         tick,
         tick,
     )
+    # the kernel's temporary is 2 × dims float64s (16·dims bytes) per pair
     chunk = draw(st.sampled_from([None, 1, 2, 3, 5]))
     ops = draw(st.lists(mbr, min_size=1, max_size=6)) + draw(st.lists(op, max_size=40))
     return dims, chunk, ops + [("tick", 0.0)]
