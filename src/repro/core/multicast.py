@@ -18,13 +18,18 @@ range, but DHTs only route to single keys.  Two strategies:
 Mechanically, the originator calls :meth:`RangeMulticast.disseminate`;
 the middleware calls :meth:`RangeMulticast.continue_span` from its
 ``deliver`` upcall so each covered node keeps the spread going.
+
+The fabric a multicast walks needs only ``ring``, ``route`` (to the
+entry key) and ``send_direct`` (one hop to a successor or predecessor
+the walk has already looked up): the simulator's
+:class:`~repro.chord.dht.DhtOverlay` and a socket peer's
+:class:`~repro.net.peer.AsyncioTransport` both provide them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..chord.dht import DhtOverlay
 from ..chord.node import ChordNode
 from ..sim.network import Message
 
@@ -42,7 +47,7 @@ def middle_key(low_key: int, high_key: int, modulus: int) -> int:
 class RangeMulticast:
     """Delivers a message to every node covering a circular key range."""
 
-    def __init__(self, overlay: DhtOverlay, strategy: str = "sequential") -> None:
+    def __init__(self, overlay, strategy: str = "sequential") -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
         self.overlay = overlay
@@ -137,7 +142,8 @@ class RangeMulticast:
             return False
         if (succ.node_id - low_key) % size <= walked:
             return False  # would wrap past the start of the walk
-        return self.overlay.send_to_successor(node, msg.derive(span_kind, tag="up"))
+        self.overlay.send_direct(node, succ, msg.derive(span_kind, tag="up"))
+        return True
 
     def _forward_down(
         self, node: ChordNode, msg: Message, low_key: int, span_kind: str
@@ -145,4 +151,10 @@ class RangeMulticast:
         """Forward towards lower keys until the low-key owner is reached."""
         if node.owns_key(low_key):
             return False
-        return self.overlay.send_to_predecessor(node, msg.derive(span_kind, tag="down"))
+        # the copy draws its message id whether or not it can leave
+        copy = msg.derive(span_kind, tag="down")
+        pred = node.predecessor
+        if pred is None or not pred.alive:
+            return False
+        self.overlay.send_direct(node, pred, copy)
+        return True
