@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..core.mbr import MBR
-from ..core.middleware import StreamIndexNode
 from ..core.placement import ContentPlacement
 from ..core.queries import SimilarityQuery
+from ..core.runtime import NodeRuntime
 from ..core.system import StreamIndexSystem
 from .onehop import OneHopTransport
 
@@ -48,6 +48,6 @@ class CentralizedIndexSystem(StreamIndexSystem):
     transport_class = OneHopTransport
 
     @property
-    def center(self) -> StreamIndexNode:
+    def center(self) -> NodeRuntime:
         """The dedicated data center holding the global index."""
         return self.app_by_id(self.placement.center_id)

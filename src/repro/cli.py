@@ -577,6 +577,16 @@ def cmd_lint(args, out) -> int:
     return _report_findings("simlint", lint_paths(args.paths), out)
 
 
+def _handler_of() -> dict:
+    """Payload type -> (role, ``Service.method``) of its handler."""
+    from .core.runtime import HANDLERS
+
+    return {
+        payload_type: (cls.role, f"{cls.__name__}.{name}")
+        for payload_type, (cls, name) in HANDLERS.items()
+    }
+
+
 def protocol_registry_dump() -> list:
     """The payload registry as JSON-able rows (declaration order).
 
@@ -590,18 +600,11 @@ def protocol_registry_dump() -> list:
     import dataclasses as _dc
 
     from .core.protocol import registry_items
-    from .core.runtime import DEFAULT_SERVICES
     from .net.wire import codec_table
 
     codecs = codec_table()
 
-    handler_of = {}
-    for service_cls in DEFAULT_SERVICES:
-        for payload_type, method_name in service_cls.handlers():
-            handler_of[payload_type] = (
-                service_cls.role,
-                f"{service_cls.__name__}.{method_name}",
-            )
+    handler_of = _handler_of()
     rows = []
     for payload_type, spec in registry_items():
         role, handler = handler_of.get(
@@ -634,7 +637,6 @@ def cmd_protocol(args, out) -> int:
     invariant checker, simlint D007 and the net/wire.py codec table.
     """
     from .core.protocol import registry_items
-    from .core.runtime import DEFAULT_SERVICES
 
     if getattr(args, "json", False):
         import json as _json
@@ -650,13 +652,7 @@ def cmd_protocol(args, out) -> int:
         )
         return 0
 
-    handler_of = {}
-    for service_cls in DEFAULT_SERVICES:
-        for payload_type, method_name in service_cls.handlers():
-            handler_of[payload_type] = (
-                service_cls.role,
-                f"{service_cls.__name__}.{method_name}",
-            )
+    handler_of = _handler_of()
     rows = []
     for payload_type, spec in registry_items():
         role, handler = handler_of.get(payload_type, ("(runtime)", "NodeRuntime.deliver"))

@@ -3,7 +3,7 @@
 Everything in Sec. IV lives here: the Eq. 6 feature-to-key mapping
 (:mod:`~repro.core.mapping`), MBR batching (:mod:`~repro.core.mbr`),
 range multicast (:mod:`~repro.core.multicast`), the per-node middleware
-application (:mod:`~repro.core.middleware`), system assembly
+application (:mod:`~repro.core.runtime`), system assembly
 (:mod:`~repro.core.system`), the Table I configuration
 (:mod:`~repro.core.config`) and figure metrics
 (:mod:`~repro.core.metrics`), plus the Sec. VI extensions
@@ -20,17 +20,18 @@ from .metrics import (
     LOAD_COMPONENTS,
     OVERHEAD_COMPONENTS,
 )
-from .middleware import AggregatorEntry, SourceState, StreamIndexNode
 from .multicast import RangeMulticast, middle_key
 from .protocol import KIND, PAYLOAD_REGISTRY, Ack, PayloadSpec, next_delivery_id, spec_of
 from .reliable import ReliableSender
 from .roles import (
+    AggregatorEntry,
     AggregatorService,
     ClientService,
-    DispatchTable,
     IndexHolderService,
     RoleService,
     SourceService,
+    SourceState,
+    handler_names,
     handles,
 )
 from .runtime import DEFAULT_SERVICES, NodeRuntime
@@ -61,7 +62,6 @@ __all__ = [
     "OVERHEAD_COMPONENTS",
     "AggregatorEntry",
     "SourceState",
-    "StreamIndexNode",
     "RangeMulticast",
     "middle_key",
     "KIND",
@@ -72,7 +72,7 @@ __all__ = [
     "spec_of",
     "ReliableSender",
     "RoleService",
-    "DispatchTable",
+    "handler_names",
     "handles",
     "SourceService",
     "IndexHolderService",

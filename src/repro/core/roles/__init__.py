@@ -3,12 +3,12 @@
 Each data center plays four roles simultaneously; each role is one
 :class:`~repro.core.roles.base.RoleService` owning its state and
 declaring its message handlers with ``@handles``.  The
-:class:`~repro.core.runtime.NodeRuntime` composes them atop the shared
-dispatch / delivery-policy / reliability substrate.
+:class:`~repro.core.runtime.NodeRuntime` of each node composes them
+atop the shared dispatch / delivery-policy / reliability substrate.
 """
 
 from .aggregator import AggregatorEntry, AggregatorService
-from .base import DispatchTable, RoleService, handles
+from .base import RoleService, handler_names, handles
 from .client import ClientService
 from .holder import IndexHolderService
 from .source import SourceService, SourceState
@@ -17,10 +17,10 @@ __all__ = [
     "AggregatorEntry",
     "AggregatorService",
     "ClientService",
-    "DispatchTable",
     "IndexHolderService",
     "RoleService",
     "SourceService",
     "SourceState",
+    "handler_names",
     "handles",
 ]

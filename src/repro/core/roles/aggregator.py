@@ -140,7 +140,7 @@ class AggregatorService(RoleService):
         agg = self.aggregators.get(query_id)
         if agg is not None:
             return agg
-        stored = self.runtime.holder.index.similarity_subs.get(query_id)
+        stored = self.runtime.index.similarity_subs.get(query_id)
         if stored is None or not self.node.owns_key(stored.sub.middle_key):
             return None
         agg = AggregatorEntry(

@@ -135,11 +135,6 @@ class SourceService(RoleService):
         self._throttle_ms = 0.0
         self._drain_scheduled = False
 
-    @property
-    def index(self):
-        """The co-located index holder's store (registry + subscriptions)."""
-        return self.runtime.holder.index
-
     # ------------------------------------------------------------------
     # ingestion / publication API
     # ------------------------------------------------------------------
@@ -291,7 +286,7 @@ class SourceService(RoleService):
         """
         if payload.query.stream_id not in self.sources:
             return  # stale registry entry; the stream moved or vanished
-        self.index.add_inner_product_sub(
+        self.runtime.index.add_inner_product_sub(
             payload, expires=self.transport.now + payload.query.lifespan_ms
         )
 
@@ -327,7 +322,7 @@ class SourceService(RoleService):
             )
             return
         # not the source: we are the location-service node — forward
-        source_id = self.index.registry.get(payload.stream_id)
+        source_id = self.runtime.index.registry.get(payload.stream_id)
         if source_id is None or source_id == self.node_id:
             return  # unknown stream; request is dropped
         msg = Message(
@@ -419,7 +414,7 @@ class SourceService(RoleService):
     def _push_inner_products(self, now: float) -> None:
         """Evaluate Eq. 7 and push results to subscribers."""
         recon_cache: Dict[str, np.ndarray] = {}
-        for stored in self.index.inner_product_subs.values():
+        for stored in self.runtime.index.inner_product_subs.values():
             query = stored.sub.query
             src = self.sources.get(query.stream_id)
             if src is None or not src.extractor.ready:

@@ -184,9 +184,9 @@ def test_missing_role_handler_detected():
 
     system = small_system()
     app = system.all_apps[0]
-    # corrupt one node's dispatch table: every other node still routes
+    # corrupt one node's dispatch map: every other node still routes
     # MbrPublish, so this node would silently drop protocol traffic
-    del app.runtime.dispatch._handlers[MbrPublish]
+    del app.dispatch[MbrPublish]
     from repro.analysis import check_delivery_policy
 
     report = check_delivery_policy(system)
@@ -204,7 +204,7 @@ def test_dedup_memory_inconsistency_detected():
     app = system.all_apps[0]
     # an id in the seen-set that the FIFO eviction queue never recorded
     # can never be evicted: the dedup memory is out of sync
-    app.runtime._seen_deliveries.add(10**9)
+    app._seen_deliveries.add(10**9)
     report = check_delivery_policy(system)
     assert not report.ok
     assert any(
@@ -267,7 +267,7 @@ def test_missing_replica_copy_detected():
     assert report.ok and report.checks_run > 0  # converged and replicated
     # wipe every installed replica: each owner's successor copy is gone
     for app in system.all_apps:
-        app.runtime.holder.replication.store.clear()
+        app.holder.replication.store.clear()
     report = check_replica_placement(system)
     assert not report.ok
     assert any("holds no copy" in v.message for v in report.violations)

@@ -140,7 +140,7 @@ def test_similarity_subscription_expires():
     assert held >= 1
     system.run(6_000.0)  # well past lifespan + several NPER purges
     assert all(qid not in a.index.similarity_subs for a in system.all_apps)
-    assert all(qid not in a.aggregators for a in system.all_apps)
+    assert all(qid not in a.aggregator.aggregators for a in system.all_apps)
 
 
 def test_client_forgets_expired_queries_with_refresh_off():
@@ -151,7 +151,7 @@ def test_client_forgets_expired_queries_with_refresh_off():
     system.attach_random_walk_streams()
     system.warmup()
     app = system.app(0)
-    client = app.runtime.client
+    client = app.client
     pattern = np.sin(np.linspace(0, 4 * np.pi, system.config.window_size)) + 50
     app.post_similarity_query(
         SimilarityQuery(pattern=pattern, radius=0.05, lifespan_ms=1_000.0)
@@ -173,9 +173,9 @@ def test_aggregator_created_at_middle_key_owner():
         SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=9_000.0)
     )
     system.run(1_500.0)
-    owners = [a for a in system.all_apps if qid in a.aggregators]
+    owners = [a for a in system.all_apps if qid in a.aggregator.aggregators]
     assert len(owners) == 1
-    agg = owners[0].aggregators[qid]
+    agg = owners[0].aggregator.aggregators[qid]
     assert agg.client_id == client.node_id
 
 
@@ -191,13 +191,13 @@ def test_middle_key_owner_builds_aggregator_at_a_tick_without_candidates():
         SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=9_000.0)
     )
     system.run(1_500.0)
-    (owner,) = [a for a in system.all_apps if qid in a.aggregators]
-    del owner.aggregators[qid]
+    (owner,) = [a for a in system.all_apps if qid in a.aggregator.aggregators]
+    del owner.aggregator.aggregators[qid]
     assert qid in owner.index.similarity_subs
     assert owner.index.mbr_count() == 0
-    owner.runtime.holder.on_notification_tick(system.sim.now)
-    assert qid in owner.aggregators
-    assert owner.aggregators[qid].client_id == client.node_id
+    owner.holder.on_notification_tick(system.sim.now)
+    assert qid in owner.aggregator.aggregators
+    assert owner.aggregator.aggregators[qid].client_id == client.node_id
 
 
 def test_matches_name_the_aggregator_that_pushed_them():
@@ -210,7 +210,7 @@ def test_matches_name_the_aggregator_that_pushed_them():
         SimilarityQuery(pattern=pattern, radius=0.1, lifespan_ms=9_000.0)
     )
     system.run(1_500.0)
-    (owner,) = [a for a in system.all_apps if qid in a.aggregators]
+    (owner,) = [a for a in system.all_apps if qid in a.aggregator.aggregators]
     assert owner.node_id != client.node_id
     matches = client.similarity_results[qid]
     assert matches
@@ -264,7 +264,7 @@ def test_inner_product_caches_source_location():
     qid = client.post_inner_product_query(point_query("wave", 0, 5_000.0))
     system.run(3_000.0)
     assert client.inner_product_results[qid]
-    assert client.locate_cache.get("wave") == app_src.node_id
+    assert client.client.locate_cache.get("wave") == app_src.node_id
 
 
 def test_inner_product_unknown_stream_gets_no_results():

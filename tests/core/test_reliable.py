@@ -282,7 +282,7 @@ def test_replayed_similarity_report_is_idempotent():
             kind=KIND.QUERY, payload=sub, origin=client.node_id, dest_key=app.node_id
         ),
     )
-    agg = app.aggregators[77]
+    agg = app.aggregator.aggregators[77]
 
     report = SimilarityReport(
         reporter_id=system.app(3).node_id,
@@ -418,4 +418,4 @@ def test_dedup_tracking_is_skipped_when_duplicates_impossible():
         ),
     )
     assert app.index.mbr_count() == 1
-    assert len(app.runtime._seen_deliveries) == 0
+    assert len(app._seen_deliveries) == 0

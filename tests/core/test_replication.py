@@ -65,7 +65,7 @@ def freeze_streams(system):
 
 
 def manager(app):
-    return app.runtime.holder.replication
+    return app.holder.replication
 
 
 # ---------------------------------------------------------------- threshold

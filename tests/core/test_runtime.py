@@ -5,11 +5,9 @@ asserts — end-to-end through :class:`~repro.core.runtime.NodeRuntime` —
 that every payload type gets exactly the dedup/ack treatment its
 ``@payload(...)`` registration declares.  The registry IS the test
 table, so policy drift fails here before it ships.  Alongside: the
-bounded seen-set's FIFO eviction, the unknown-payload fallback, and the
-dispatch table's construction-time validation.
+bounded seen-set's FIFO eviction, the unknown-payload fallback, the
+handler map's validation, and the per-node binding of handlers.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +42,7 @@ from repro.core.protocol import (
     WindowRequest,
     next_delivery_id,
 )
-from repro.core.roles import DispatchTable, RoleService, handles
+from repro.core.roles import IndexHolderService, RoleService, handler_names, handles
 from repro.sim import Message, MessageTracer
 
 
@@ -254,11 +252,10 @@ def test_dedup_seen_set_evicts_fifo(monkeypatch):
     sender = system.app(1).node_id
     for delivery_id in (101, 102, 103):
         deliver(delivery_id)
-    runtime = client.runtime
-    assert runtime._seen_deliveries == {(sender, 101), (sender, 102), (sender, 103)}
+    assert client._seen_deliveries == {(sender, 101), (sender, 102), (sender, 103)}
     deliver(104)  # over the limit: 101 (oldest) is evicted
-    assert runtime._seen_deliveries == {(sender, 102), (sender, 103), (sender, 104)}
-    assert len(runtime._seen_order) == len(runtime._seen_deliveries) == 3
+    assert client._seen_deliveries == {(sender, 102), (sender, 103), (sender, 104)}
+    assert len(client._seen_order) == len(client._seen_deliveries) == 3
     # a replay of the evicted id is no longer recognised as a duplicate
     deliver(101)
     assert len(client.similarity_results[101]) == 2
@@ -343,7 +340,7 @@ def test_unknown_payload_counted_and_traced():
 
 
 # ----------------------------------------------------------------------
-# dispatch table: construction-time validation
+# handler map: validation, and binding per node
 # ----------------------------------------------------------------------
 def test_dispatch_rejects_handler_for_unregistered_type():
     class Rogue:
@@ -357,7 +354,7 @@ def test_dispatch_rejects_handler_for_unregistered_type():
             pass
 
     with pytest.raises(ValueError, match="not registered"):
-        DispatchTable().add_service(BadService(SimpleNamespace()))
+        handler_names([BadService])
 
 
 def test_dispatch_rejects_duplicate_handlers():
@@ -375,7 +372,37 @@ def test_dispatch_rejects_duplicate_handlers():
         def on_mbr_again(self, message, payload):
             pass
 
-    table = DispatchTable()
-    table.add_service(FirstService(SimpleNamespace()))
-    with pytest.raises(ValueError):
-        table.add_service(SecondService(SimpleNamespace()))
+    assert handler_names([FirstService]) == {MbrPublish: (FirstService, "on_mbr")}
+    with pytest.raises(ValueError, match="duplicate handler for MbrPublish"):
+        handler_names([FirstService, SecondService])
+
+
+def test_handler_patched_on_its_class_before_build_handles_deliveries(monkeypatch):
+    """Nodes bind handlers by name when built, so a tracer that wraps a
+    role method on its class before the system exists sees every call."""
+    seen = []
+    original = IndexHolderService.on_mbr
+
+    def wrapped(self, message, payload):
+        seen.append(payload)
+        return original(self, message, payload)
+
+    monkeypatch.setattr(IndexHolderService, "on_mbr", wrapped)
+    system = small_system()
+    app, peer = system.app(0), system.app(1)
+    payload = PAYLOAD_FACTORIES[MbrPublish](app, peer)
+    app.deliver(
+        app.node,
+        Message(kind=KIND.MBR, payload=payload, origin=peer.node_id, dest_key=app.node_id),
+    )
+    assert seen == [payload]
+    assert app.index.mbr_count() == 1
+
+
+def test_app_is_what_the_overlay_delivers_to_and_each_roles_runtime():
+    system = small_system()
+    for i, app in enumerate(system.all_apps):
+        assert system.app(i) is app
+        assert system.overlay._apps[app.node_id] is app
+        assert all(service.runtime is app for service in app.services)
+        assert (app.holder, app.aggregator, app.source, app.client) == app.services

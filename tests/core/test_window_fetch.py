@@ -42,7 +42,7 @@ def test_fetch_window_returns_source_window():
     expected = owner.sources[sid].extractor.window.values()
     client = system.app(0)
     got = []
-    client.runtime.client.fetch_window(sid, got.append)
+    client.client.fetch_window(sid, got.append)
     system.run(3_000.0)
     assert len(got) == 1
     assert np.allclose(got[0], expected)
@@ -52,10 +52,10 @@ def test_fetch_window_populates_locate_cache():
     system = warm_system(seed=42)
     client = system.app(0)
     got = []
-    client.runtime.client.fetch_window("stream-5", got.append)
+    client.client.fetch_window("stream-5", got.append)
     system.run(3_000.0)
     assert got
-    assert client.locate_cache["stream-5"] == system.app(5).node_id
+    assert client.client.locate_cache["stream-5"] == system.app(5).node_id
 
 
 def test_fetch_window_cached_source_is_direct():
@@ -63,12 +63,12 @@ def test_fetch_window_cached_source_is_direct():
     system = warm_system(seed=43)
     client = system.app(0)
     first, second = [], []
-    client.runtime.client.fetch_window("stream-7", first.append)
+    client.client.fetch_window("stream-7", first.append)
     system.run(3_000.0)
     sends_before = sum(
         v for (n, k), v in system.network.stats.sends.items() if k.startswith("query")
     )
-    client.runtime.client.fetch_window("stream-7", second.append)
+    client.client.fetch_window("stream-7", second.append)
     system.run(3_000.0)
     sends_after = sum(
         v for (n, k), v in system.network.stats.sends.items() if k.startswith("query")
@@ -82,7 +82,7 @@ def test_fetch_unknown_stream_never_calls_back():
     system = warm_system(seed=44)
     client = system.app(0)
     got = []
-    client.runtime.client.fetch_window("no-such-stream", got.append)
+    client.client.fetch_window("no-such-stream", got.append)
     system.run(3_000.0)
     assert got == []
 
@@ -94,7 +94,7 @@ def test_concurrent_fetches_resolve_independently():
     client = system.app(0)
     results = {}
     for i in (2, 4, 6):
-        client.runtime.client.fetch_window(
+        client.client.fetch_window(
             f"stream-{i}", lambda w, i=i: results.__setitem__(i, w)
         )
     system.run(3_000.0)

@@ -34,7 +34,7 @@ def churn_system(n=20, seed=51):
 
 def find_aggregator(system, qid):
     return next(
-        (a for a in system.all_apps if a.node.alive and qid in a.aggregators), None
+        (a for a in system.all_apps if a.node.alive and qid in a.aggregator.aggregators), None
     )
 
 

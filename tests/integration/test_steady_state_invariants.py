@@ -103,7 +103,7 @@ def test_aggregator_seen_supersets_client_results():
     system, workload = run_scenario(seed=112, measure_ms=10_000.0)
     agg_seen = {}
     for a in system.all_apps:
-        for qid, agg in a.aggregators.items():
+        for qid, agg in a.aggregator.aggregators.items():
             agg_seen.setdefault(qid, set()).update(agg.seen)
     for a in system.all_apps:
         for qid, matches in a.similarity_results.items():

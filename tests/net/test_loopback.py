@@ -57,7 +57,7 @@ def normalize_answers(matches):
 
 def reporters(matches, apps, qid):
     """Who the answers name as their aggregator, and who aggregates."""
-    return {m.reported_by for m in matches}, {a.node_id for a in apps if qid in a.aggregators}
+    return {m.reported_by for m in matches}, {a.node_id for a in apps if qid in a.aggregator.aggregators}
 
 
 def sim_reference():

@@ -89,9 +89,8 @@ def test_route_counts_like_overlay_route():
 def test_runtime_and_roles_reach_seam():
     system = make_system()
     for app in system.all_apps:
-        runtime = app.runtime
-        assert runtime.transport is system.transport
-        for service in runtime.dispatch.services:
+        assert app.transport is system.transport
+        for service in app.services:
             assert service.transport is system.transport
 
 
