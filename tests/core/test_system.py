@@ -99,6 +99,26 @@ def test_fail_node_removes_from_membership():
     assert victim.node_id not in system.ring.node_ids
 
 
+def test_fail_node_stops_the_victims_streams():
+    """A crashed data center ingests no more values and publishes no more MBRs."""
+    system = StreamIndexSystem(16, cfg(batch_size=2), seed=3, with_stabilizer=True)
+    system.attach_random_walk_streams()
+    system.warmup()
+    victim, bystander = system.app(5), system.app(6)
+    (src,) = victim.sources.values()
+    (other,) = bystander.sources.values()
+    system.fail_node(victim)
+    values, mbrs, published_ms = src.values_ingested, src.mbrs_published, src.last_publish_ms
+    other_values = other.values_ingested
+    system.run(10_000.0)
+    assert (src.values_ingested, src.mbrs_published, src.last_publish_ms) == (
+        values,
+        mbrs,
+        published_ms,
+    )
+    assert other.values_ingested > other_values  # the live streams keep going
+
+
 def test_position_range_of_keys_simple():
     system = StreamIndexSystem(8, cfg(), seed=89)
     ids = system.ring.node_ids
