@@ -648,8 +648,8 @@ class ProtocolRegistryRule(LintRule):
       unknown-payload fallback with no declared policy;
     * an ``@handles(X)`` registration naming a class that is not a
       registered payload type — the handler could never fire (the
-      dispatch table also rejects this at construction; the rule
-      catches it before anything runs).
+      runtime's handler map also rejects this at import; the rule
+      catches it without importing anything).
     """
 
     code = "D007"
