@@ -18,30 +18,45 @@ the new summary still fits the widened box ("nodes at the upper levels
 of the hierarchy need to be updated less frequently at the expense of
 having less precise information").
 
-This module is self-contained (it does not interact with the flat
-middleware's message flow) so the hierarchy bench can compare the two
-schemes on identical workloads.
+:class:`HierarchyService` is the fifth role of every
+:class:`~repro.core.runtime.NodeRuntime`: each node keeps only its own
+widened entries and its own leader chain, derived from its ring view
+and rebuilt when membership changes, and every update, climb and answer
+is a registered payload sent through the Transport seam, so the socket
+peer runs the hierarchy exactly as the simulator does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.network import Message, Network
+from ..sim.network import Message
 from .mbr import MBR
-from .protocol import KIND
+from .protocol import (
+    KIND,
+    HierarchyAnswer,
+    HierarchyClimb,
+    HierarchyQuery,
+    HierarchyUpdate,
+    ResponsePush,
+    next_delivery_id,
+)
+from .queries import SimilarityQuery
+from .roles.base import RoleService, handles
 
-__all__ = ["Cluster", "ClusterHierarchy", "HierarchicalIndex"]
+__all__ = ["Cluster", "ClusterHierarchy", "HierarchyService"]
 
-#: message kinds of the hierarchy traffic (kept distinct from the flat
-#: middleware's so combined experiments remain separable; declared in
-#: the :mod:`repro.core.protocol` registry like every other kind)
-H_UPDATE = KIND.HIER_UPDATE
-H_QUERY = KIND.HIER_QUERY
-H_RESPONSE = KIND.HIER_RESPONSE
+#: members per cluster (no config field sets it)
+CLUSTER_SIZE = 4
+#: widening margin per dimension at level 0; level ℓ widens by
+#: ``BASE_MARGIN * MARGIN_GROWTH**ℓ`` ("upper levels need to be updated
+#: less frequently"); pinned in tests/integration/test_hierarchy_mode.py
+BASE_MARGIN = 0.02
+MARGIN_GROWTH = 2.0
 
 
 @dataclass
@@ -188,95 +203,97 @@ class _LevelEntry:
     """A stream's widened MBR stored at one hierarchy node."""
 
     box: MBR
-    margin: float
+    expires: float
+    #: where the update that widened ``box`` went next: the level's
+    #: leader (this node when it leads the level), -1 if none
+    leader: int
     updates_received: int = 0
     updates_forwarded: int = 0
-    expires: float = float("inf")
 
 
-@dataclass
-class HierarchyStats:
-    """Counters of the hierarchy's own traffic."""
+class HierarchyService(RoleService):
+    """The Sec. VI-B leader-hierarchy role of one data center.
 
-    updates_sent: int = 0
-    updates_suppressed: int = 0
-    queries_sent: int = 0
-    responses_sent: int = 0
-
-
-class HierarchicalIndex:
-    """The Sec. VI-B scheme: update suppression up the chain, query climb.
-
-    Parameters
-    ----------
-    network:
-        The simulated network (for hop latency and message accounting).
-    hierarchy:
-        The cluster structure.
-    base_margin:
-        Widening margin per dimension at level 0; level ℓ uses
-        ``base_margin * growth**ℓ``.
-    growth:
-        Per-level margin growth factor (> 1 to realise "less frequent
-        updates at upper levels").
+    Keeps this node's widened entries, pushes a summary stored here by
+    content placement up its leader chain, and serves the wide queries
+    of the local client by a leader climb answered once, through the
+    center-key owner.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        hierarchy: ClusterHierarchy,
-        *,
-        base_margin: float = 0.01,
-        growth: float = 2.0,
-        value_bounds: Tuple[float, float] = (-1.0, 1.0),
-    ) -> None:
-        if base_margin < 0 or growth < 1.0:
-            raise ValueError("need base_margin >= 0 and growth >= 1")
-        if value_bounds[1] <= value_bounds[0]:
-            raise ValueError("need value_bounds[1] > value_bounds[0]")
-        self.value_bounds = (float(value_bounds[0]), float(value_bounds[1]))
-        self.network = network
-        self.hierarchy = hierarchy
-        self.base_margin = base_margin
-        self.growth = growth
-        #: per node: (stream_id, level) -> stored widened entry.  A
-        #: leader keeps one entry per level it serves, so suppression
-        #: decisions at different levels are independent.
-        self.store: Dict[int, Dict[Tuple[str, int], _LevelEntry]] = {
-            n: {} for n in hierarchy.node_ids
-        }
-        self.stats = HierarchyStats()
+    role = "hierarchy"
+
+    def __init__(self, runtime) -> None:
+        super().__init__(runtime)
+        #: (stream_id, level) -> widened entry, one per level this node serves
+        self.store: Dict[Tuple[str, int], _LevelEntry] = {}
+        #: this node's cluster per level along its leader chain: cluster
+        #: ``ℓ + 1`` is the one its level-``ℓ`` leader is a member of
+        self._clusters: List[Cluster] = []
+        self._position = 0
+        self._members: Tuple[int, ...] = ()
+        self._epoch = -1
+
+    def _chain(self) -> List[Cluster]:
+        """This node's clusters per level, rebuilt when its ring view changes."""
+        ring = self.system.ring
+        if ring.space.routing_epoch != self._epoch:
+            self._epoch = ring.space.routing_epoch
+            members = tuple(ring.node_ids)
+            if members != self._members:
+                self._members = members
+                hierarchy = ClusterHierarchy(list(members), CLUSTER_SIZE)
+                self._position = hierarchy.position[self.node_id]
+                self._clusters = []
+                current = self.node_id
+                for level in range(hierarchy.depth):
+                    self._clusters.append(hierarchy.cluster_of(current, level))
+                    current = self._clusters[-1].leader
+        return self._clusters
+
+    def _send(self, msg: Message) -> None:
+        """One hop to the member ``msg.dest_key`` names; dropped if it has
+        left this node's view, as a hop to a crashed node would be."""
+        target = self.system.ring.successor_of_key(msg.dest_key)
+        if target.node_id == msg.dest_key:
+            self.transport.send_direct(self.node, target, msg)
 
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def publish(self, node_id: int, mbr: MBR, *, expires: float = float("inf")) -> None:
-        """A summary arrives at its content-placed node; push up the chain.
+    def publish(self, mbr: MBR, expires: float) -> None:
+        """Store a summary placed here by content and push it up the chain."""
+        self._store(mbr, 0, expires)
 
-        At each level the update is forwarded only if the summary no
-        longer fits the widened box previously advertised there — the
-        suppression that makes upper levels cheap.  ``expires`` bounds
-        the entry's lifetime (the flat layer's BSPAN); a fitting update
-        still *extends* the expiry, so live streams never fade out.
+    @handles(HierarchyUpdate)
+    def on_update(self, message: Message, payload: HierarchyUpdate) -> None:
+        """A member pushed a summary up: store it one level higher."""
+        self._store(payload.mbr, payload.level + 1, payload.expires_ms)
+
+    def _store(self, mbr: MBR, level: int, expires: float) -> None:
+        """Keep ``mbr`` widened at ``level`` and push it to the level's leader.
+
+        The push is suppressed while the summary fits the box last pushed
+        *and* the leader is the one it went to, so a new leader fills; a
+        suppressed update still extends the entry's expiry.
         """
-        self._store_and_maybe_forward(node_id, mbr, level=0, expires=expires)
-
-    def _store_and_maybe_forward(
-        self, node_id: int, mbr: MBR, level: int, expires: float
-    ) -> None:
+        clusters = self._chain()
+        # a member at a level leads every level below it
+        member = level < len(clusters) and (
+            level == 0 or clusters[level - 1].leader == self.node_id
+        )
+        leader = clusters[level].leader if member else -1
         key = (mbr.stream_id, level)
-        entry = self.store[node_id].get(key)
-        fits = (
+        entry = self.store.get(key)
+        if (
             entry is not None
+            and entry.leader == leader
             and bool((mbr.low >= entry.box.low - 1e-12).all())
             and bool((mbr.high <= entry.box.high + 1e-12).all())
-        )
-        if fits:
+        ):
             entry.updates_received += 1
             entry.expires = max(entry.expires, expires)
-            self.stats.updates_suppressed += 1
             return
-        margin = self.base_margin * (self.growth ** level)
+        margin = BASE_MARGIN * (MARGIN_GROWTH ** level)
         widened = MBR(
             low=mbr.low - margin,
             high=mbr.high + margin,
@@ -284,143 +301,134 @@ class HierarchicalIndex:
             count=mbr.count,
             created=mbr.created,
         )
-        new_entry = _LevelEntry(box=widened, margin=margin, expires=expires)
-        if entry is not None:
-            new_entry.updates_received = entry.updates_received
-            new_entry.updates_forwarded = entry.updates_forwarded
-        new_entry.updates_received += 1
-        new_entry.updates_forwarded += 1
-        self.store[node_id][key] = new_entry
-        self._forward_up(node_id, mbr, level, expires)
-
-    def _forward_up(self, node_id: int, mbr: MBR, level: int, expires: float) -> None:
-        cluster = self.hierarchy.cluster_of(node_id, level)
-        if cluster is None:
-            return
-        if cluster.leader == node_id:
-            if level + 1 >= self.hierarchy.depth:
-                return  # at the root: nowhere further up
-            # already the leader at this level; continue at the next one
-            self._store_and_maybe_forward(node_id, mbr, level + 1, expires)
-            return
-        self.stats.updates_sent += 1
-        msg = Message(
-            kind=H_UPDATE, payload=(mbr, level), origin=node_id, dest_key=cluster.leader
-        )
-        # leader-chain control traffic is the hierarchy's own substrate,
-        # outside the reliable/dispatch path
-        self.network.hop(  # simlint: disable=D010 (hierarchy substrate)
-            node_id,
-            cluster.leader,
-            msg,
-            lambda m, leader=cluster.leader, lv=level: self._store_and_maybe_forward(
-                leader, m.payload[0], lv + 1, expires
-            ),
-        )
+        if entry is None:
+            entry = self.store[key] = _LevelEntry(widened, expires, leader)
+        entry.box, entry.expires, entry.leader = widened, expires, leader
+        entry.updates_received += 1
+        entry.updates_forwarded += 1
+        if leader == self.node_id:
+            # leading this level too: continue at the next (none above the root)
+            if level + 1 < len(clusters):
+                self._store(mbr, level + 1, expires)
+        elif leader >= 0:
+            update = HierarchyUpdate(mbr=mbr, level=level, expires_ms=expires)
+            msg = Message(
+                kind=KIND.HIER_UPDATE, payload=update, origin=self.node_id, dest_key=leader
+            )
+            self._send(msg)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def positions_of_interval(self, lo_val: float, hi_val: float) -> Tuple[int, int]:
-        """Half-open position range of a routing-value interval.
+    def post_query(
+        self, query: SimilarityQuery, feature: np.ndarray, klow: int, khigh: int
+    ) -> None:
+        """Route a wide query of the local client to its center key's owner."""
+        payload = HierarchyQuery(
+            query_id=query.query_id,
+            client_id=self.node_id,
+            feature=feature,
+            radius=query.radius,
+            low_key=klow,
+            high_key=khigh,
+            delivery_id=next_delivery_id(),
+        )
+        self._stats.record_origination(KIND.QUERY)
+        self.runtime.reliable_route(
+            payload,
+            kind=KIND.QUERY,
+            transit_kind=KIND.QUERY_TRANSIT,
+            dest_key=self.system.mapper.key_of(float(feature[0])),
+        )
 
-        Assumes node positions are monotone in feature value over
-        ``value_bounds`` — which the Eq. 6 mapping guarantees when the
-        hierarchy is built in ring order.
+    def position_range_of_keys(self, low_key: int, high_key: int) -> Tuple[int, int]:
+        """Positions (ring-order indices) of the nodes covering a key range.
+
+        Taken from actual key ownership, not from uniformly spread
+        identifiers, so hierarchy-served queries dismiss no true match.
         """
-        vmin, vmax = self.value_bounds
-        n = len(self.hierarchy.node_ids)
-        span = vmax - vmin
+        ring = self.system.ring
+        positions = sorted(
+            bisect_left(ring.node_ids, n.node_id)
+            for n in ring.nodes_covering_range(low_key, high_key)
+        )
+        return positions[0], positions[-1] + 1
 
-        def pos(v: float) -> int:
-            frac = (min(max(v, vmin), vmax) - vmin) / span
-            return min(n - 1, int(frac * n))
+    @handles(HierarchyQuery)
+    def on_hierarchy_query(self, message: Message, payload: HierarchyQuery) -> None:
+        """Center-key owner: start the climb, unless its own arc covers."""
+        lo_idx, hi_idx = self.position_range_of_keys(payload.low_key, payload.high_key)
+        self._chain()  # brings ``_position`` up to date
+        climb = HierarchyClimb(
+            query_id=payload.query_id,
+            client_id=payload.client_id,
+            owner_id=self.node_id,
+            feature=payload.feature,
+            radius=payload.radius,
+            lo_idx=lo_idx,
+            hi_idx=hi_idx,
+            level=0,
+        )
+        self._climb(climb, lo_idx >= self._position and hi_idx <= self._position + 1, 0)
 
-        return pos(lo_val), pos(hi_val) + 1
+    @handles(HierarchyClimb)
+    def on_climb(self, message: Message, payload: HierarchyClimb) -> None:
+        """A leader reached by the climb: scan here if its cluster covers."""
+        clusters = self._chain()
+        level = payload.level
+        covered = level >= len(clusters) or (
+            clusters[level].lo_idx <= payload.lo_idx
+            and clusters[level].hi_idx >= payload.hi_idx
+        )
+        self._climb(payload, covered, level + 1)
 
-    def query(
-        self,
-        node_id: int,
-        feature: np.ndarray,
-        radius: float,
-        on_answer,
-        *,
-        position_range: Optional[Tuple[int, int]] = None,
-    ) -> int:
-        """Resolve a similarity probe through the hierarchy.
+    def _climb(self, climb: HierarchyClimb, covered: bool, first: int) -> None:
+        """Pass ``climb`` to this node's first leader from level ``first``
+        up, or scan here once a subtree this node leads covers the range.
 
-        The query climbs the leader chain from ``node_id`` until it
-        reaches a leader whose subtree's feature interval covers
-        ``[q1 - ε, q1 + ε]``, is answered from the widened index there,
-        and the candidate list flows back to the caller via
-        ``on_answer(matches)``.  Returns the number of *contacts*
-        (distinct nodes the query visits) — the quantity the hierarchy
-        bench compares against the flat scheme's range size.
-
-        For the logarithmic cost to pay off, ``node_id`` should be the
-        owner of the query's center key (where the flat layer routes
-        queries anyway); starting elsewhere stays correct but climbs to
-        the root.
+        The level grows from hop to hop, so a climb ends within the
+        hierarchy's depth even while views of the membership disagree.
         """
-        feature = np.asarray(feature, dtype=np.float64)
-        if position_range is not None:
-            # exact positions supplied by the caller (e.g. computed from
-            # the ring's actual key ownership)
-            lo_idx, hi_idx = position_range
-        else:
-            lo_idx, hi_idx = self.positions_of_interval(
-                float(feature[0]) - radius, float(feature[0]) + radius
-            )
-        path = self.hierarchy.covering_chain(node_id, lo_idx, hi_idx)
-
-        def respond(at_node: int, hops_taken: List[int]) -> None:
-            matches = self._scan(at_node, feature, radius)
-            if at_node == node_id:
-                on_answer(matches)
-                return
-            self.stats.responses_sent += 1
-            rmsg = Message(
-                kind=H_RESPONSE, payload=matches, origin=at_node, dest_key=node_id
-            )
-            self.network.hop(  # simlint: disable=D010 (hierarchy substrate)
-                at_node, node_id, rmsg, lambda m: on_answer(m.payload)
-            )
-
-        def climb(idx: int, at_node: int) -> None:
-            if idx >= len(path):
-                respond(at_node, [])
-                return
-            nxt = path[idx]
-            self.stats.queries_sent += 1
-            qmsg = Message(kind=H_QUERY, payload=None, origin=at_node, dest_key=nxt)
-            self.network.hop(  # simlint: disable=D010 (hierarchy substrate)
-                at_node, nxt, qmsg, lambda m: climb(idx + 1, nxt)
-            )
-
-        climb(0, node_id)
-        return len(path) + 1  # contacts: the client itself plus each leader hop
-
-    def _scan(self, node_id: int, feature: np.ndarray, radius: float) -> List[Tuple[str, float]]:
-        now = self.network.sim.now
+        clusters = self._chain()
+        if not covered:
+            for level in range(first, len(clusters)):
+                cluster = clusters[level]
+                if cluster.leader != self.node_id:
+                    msg = Message(
+                        kind=KIND.HIER_QUERY,
+                        payload=replace(climb, level=level),
+                        origin=self.node_id,
+                        dest_key=cluster.leader,
+                    )
+                    self._send(msg)
+                    return
+                if cluster.lo_idx <= climb.lo_idx and cluster.hi_idx >= climb.hi_idx:
+                    break
+        now = self.transport.now
         best: Dict[str, float] = {}
-        for (stream_id, _level), entry in self.store[node_id].items():
-            if entry.expires <= now:
-                continue
-            d = entry.box.mindist(feature)
-            if d <= radius and (stream_id not in best or d < best[stream_id]):
-                best[stream_id] = float(d)
-        return sorted(best.items())
+        for (stream_id, _level), entry in self.store.items():
+            if entry.expires > now:
+                d = entry.box.mindist(climb.feature)
+                if d <= climb.radius and d < best.get(stream_id, np.inf):
+                    best[stream_id] = float(d)
+        answer = HierarchyAnswer(climb.query_id, climb.client_id, sorted(best.items()))
+        if climb.owner_id == self.node_id:
+            self.on_answer(None, answer)
+            return
+        msg = Message(
+            kind=KIND.HIER_RESPONSE,
+            payload=answer,
+            origin=self.node_id,
+            dest_key=climb.owner_id,
+        )
+        self._send(msg)
 
-    def purge(self, node_id: int, now: Optional[float] = None) -> int:
-        """Drop expired entries at one node; returns how many went."""
-        if now is None:
-            now = self.network.sim.now
-        store = self.store[node_id]
-        dead = [k for k, e in store.items() if e.expires <= now]
-        for k in dead:
-            del store[k]
-        return len(dead)
-
-    def streams_known(self, node_id: int) -> List[str]:
-        """Distinct stream ids this node holds entries for (any level)."""
-        return sorted({sid for (sid, _lv) in self.store[node_id]})
+    @handles(HierarchyAnswer)
+    def on_answer(self, message: Optional[Message], payload: HierarchyAnswer) -> None:
+        """Center-key owner: push the scanning leader's candidates to the client."""
+        push = ResponsePush(
+            client_id=payload.client_id,
+            query_id=payload.query_id,
+            similarity=list(payload.matches),
+        )
+        self.runtime.send_response(payload.client_id, push)

@@ -48,6 +48,9 @@ __all__ = [
     "WindowRequest",
     "WindowReply",
     "HierarchyQuery",
+    "HierarchyUpdate",
+    "HierarchyClimb",
+    "HierarchyAnswer",
     "SimilarityReport",
     "ResponsePush",
     "ReplicaPublish",
@@ -95,12 +98,12 @@ class KIND:
     ============== =====================================================
 
     The Sec. VI-B hierarchy uses its own kinds (``HIER_UPDATE``,
-    ``HIER_QUERY``, ``HIER_RESPONSE``; used by
-    :mod:`repro.core.hierarchy`) so its traffic stays separable from
-    the flat middleware's figure components, but they are declared here
-    so that *every* accounting category the system can emit is visible
-    in one registry (:data:`KNOWN_KINDS`) — the simlint D005 rule
-    rejects message kinds that are not.
+    ``HIER_QUERY``, ``HIER_RESPONSE``; sent by
+    :class:`~repro.core.hierarchy.HierarchyService`) so its traffic
+    stays separable from the flat middleware's figure components, but
+    they are declared here so that *every* accounting category the
+    system can emit is visible in one registry (:data:`KNOWN_KINDS`) —
+    the simlint D005 rule rejects message kinds that are not.
 
     The replication subsystem (DESIGN.md §10) likewise keeps its
     traffic in its own categories so the paper's figure components stay
@@ -163,12 +166,13 @@ RUNTIME_ROLE = "(runtime)"
 """Pseudo-role for traffic the dispatch layer itself originates (acks)."""
 
 KNOWN_ROLES = frozenset(
-    {"source", "index-holder", "aggregator", "client", RUNTIME_ROLE}
+    {"source", "index-holder", "aggregator", "client", "hierarchy", RUNTIME_ROLE}
 )
 """Every role name a payload may declare as a legal sender.
 
-The four real roles mirror the paper's Fig. 5 participants (stream
-sources, index holders, the report aggregator, posing clients); the
+Four real roles mirror the paper's Fig. 5 participants (stream
+sources, index holders, the report aggregator, posing clients), the
+fifth is the Sec. VI-B leader hierarchy; the
 :data:`RUNTIME_ROLE` pseudo-role covers middleware-originated traffic
 such as delivery acknowledgements.  The ``repro flow`` static analyzer
 checks every send site it discovers against the sending payload's
@@ -468,16 +472,16 @@ class WindowReply:
     dedup=True,
     ack_on_delivery=True,
     ack_kinds=(KIND.QUERY,),
-    senders=("client",),
+    senders=("hierarchy",),
     response="ResponsePush",
 )
 @dataclass
 class HierarchyQuery:
     """A wide-selectivity similarity query entering the VI-B hierarchy.
 
-    The client content-routes this to the query's center key; the
-    owning node climbs its leader chain to the level covering the key
-    range and answers the client with the (widened-box) candidates.
+    The client's node content-routes this to the query's center key;
+    the owning node climbs its leader chain to the level covering the
+    key range and answers the client with the (widened-box) candidates.
     One-shot snapshot semantics — clients repost for refresh.
     """
 
@@ -488,6 +492,56 @@ class HierarchyQuery:
     low_key: int
     high_key: int
     delivery_id: int = -1
+
+
+@payload(kind=KIND.HIER_UPDATE, senders=("hierarchy",))
+@dataclass
+class HierarchyUpdate:
+    """A summary pushed one level up the VI-B leader chain.
+
+    Sent to the leader of the sender's level-``level`` cluster, which
+    keeps it widened at ``level + 1``.  ``expires_ms`` is the absolute
+    expiry the content-placed node leased the summary for.  No ack and
+    no dedup: the next update of the stream heals a lost one, and a
+    repeated one is suppressed by the widened box it fits.
+    """
+
+    mbr: MBR
+    level: int
+    expires_ms: float
+
+
+@payload(kind=KIND.HIER_QUERY, senders=("hierarchy",), response="HierarchyAnswer")
+@dataclass
+class HierarchyClimb:
+    """A :class:`HierarchyQuery` climbing from leader to leader.
+
+    The receiver leads a level-``level`` cluster; it scans its entries
+    if that cluster's subtree covers positions ``[lo_idx, hi_idx)`` (the
+    ring-order positions of the nodes covering the query's key range),
+    else passes the climb to its leader at a higher level.  The
+    candidates go back to ``owner_id``, the center-key owner.  No ack
+    and no dedup: a lost climb loses one snapshot answer.
+    """
+
+    query_id: int
+    client_id: int
+    owner_id: int
+    feature: np.ndarray
+    radius: float
+    lo_idx: int
+    hi_idx: int
+    level: int
+
+
+@payload(kind=KIND.HIER_RESPONSE, senders=("hierarchy",))
+@dataclass
+class HierarchyAnswer:
+    """The scanning leader's candidates, on their way to the center-key owner."""
+
+    query_id: int
+    client_id: int
+    matches: List[Tuple[str, float]] = field(default_factory=list)
 
 
 @payload(
@@ -525,11 +579,11 @@ class SimilarityReport:
     dedup=True,
     ack_on_delivery=True,
     ack_kinds=(KIND.RESPONSE,),
-    senders=("aggregator", "source", "index-holder"),
+    senders=("aggregator", "source", "hierarchy"),
 )
 @dataclass
 class ResponsePush:
-    """Periodic response from an aggregator or source back to a client.
+    """A response from an aggregator, a source or the hierarchy to a client.
 
     Exactly one of ``similarity`` / ``inner_product`` is non-empty.
     """

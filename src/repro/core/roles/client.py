@@ -18,7 +18,6 @@ from ...chord.hashing import stream_identifier
 from ...sim.network import Message
 from ..protocol import (
     KIND,
-    HierarchyQuery,
     InnerProductSubscribe,
     LocateRequest,
     ResponsePush,
@@ -73,11 +72,11 @@ class ClientService(RoleService):
             )
         feature = query.feature_vector(self.cfg.k)
         klow, khigh, mid = self.system.placement.query_keys(query, self.node_id)
-        if (
-            self.system.hierarchy_index is not None
-            and query.radius > self.cfg.hierarchy_radius_threshold
-        ):
-            return self._post_hierarchy_query(query, feature, klow, khigh)
+        if self.cfg.hierarchy and query.radius > self.cfg.hierarchy_radius_threshold:
+            # Sec. VI-B: a one-shot leader climb, no range subscription
+            self.similarity_results.setdefault(query.query_id, [])
+            self.runtime.hierarchy.post_query(query, feature, klow, khigh)
+            return query.query_id
         payload = SimilaritySubscribe(
             query_id=query.query_id,
             client_id=self.node_id,
@@ -102,38 +101,6 @@ class ClientService(RoleService):
             transit_kind=KIND.QUERY_TRANSIT,
             low_key=klow,
             high_key=khigh,
-        )
-        return query.query_id
-
-    def _post_hierarchy_query(
-        self, query: SimilarityQuery, feature: np.ndarray, klow: int, khigh: int
-    ) -> int:
-        """Serve a wide query through the Sec. VI-B hierarchy.
-
-        The query is content-routed to its center key; the owning node
-        climbs the leader chain to the level covering ``[klow, khigh]``
-        and answers with a one-shot snapshot of candidates.  O(log N)
-        contacts regardless of radius, at the price of snapshot (rather
-        than continuous) semantics and widened-box candidates.
-        """
-        center_value = float(feature[0])
-        center_key = self.system.mapper.key_of(center_value)
-        payload = HierarchyQuery(
-            query_id=query.query_id,
-            client_id=self.node_id,
-            feature=feature,
-            radius=query.radius,
-            low_key=klow,
-            high_key=khigh,
-            delivery_id=next_delivery_id(),
-        )
-        self.similarity_results.setdefault(query.query_id, [])
-        self._stats.record_origination(KIND.QUERY)
-        self.runtime.reliable_route(
-            payload,
-            kind=KIND.QUERY,
-            transit_kind=KIND.QUERY_TRANSIT,
-            dest_key=center_key,
         )
         return query.query_id
 

@@ -21,7 +21,6 @@ from ..index import LocalIndex
 from ..protocol import (
     KIND,
     Backpressure,
-    HierarchyQuery,
     HintedHandoff,
     InnerProductSubscribe,
     LoadShed,
@@ -31,7 +30,6 @@ from ..protocol import (
     ReplicaAck,
     ReplicaDigestPull,
     ReplicaPublish,
-    ResponsePush,
     SimilarityReport,
     SimilaritySubscribe,
     next_delivery_id,
@@ -80,16 +78,11 @@ class IndexHolderService(RoleService):
         self.index.add_mbr(
             payload.mbr, expires=self.transport.now + payload.lifespan_ms
         )
-        if (
-            self.system.hierarchy_index is not None
-            and message.kind == KIND.MBR  # primary delivery, not a span copy
-        ):
-            # Sec. VI-B: the content-placed node feeds the summary up the
-            # leader hierarchy (with update suppression)
-            self.system.hierarchy_index.publish(
-                self.node_id,
-                payload.mbr,
-                expires=self.transport.now + payload.lifespan_ms,
+        if self.cfg.hierarchy and message.kind == KIND.MBR:
+            # Sec. VI-B: the primary delivery (not a span copy) feeds the
+            # summary up the leader hierarchy
+            self.runtime.hierarchy.publish(
+                payload.mbr, self.transport.now + payload.lifespan_ms
             )
         self.transport.continue_span(
             self.node,
@@ -217,32 +210,6 @@ class IndexHolderService(RoleService):
             kind=KIND.QUERY,
             transit_kind=KIND.QUERY_TRANSIT,
             dest_key=source_id,
-        )
-
-    @handles(HierarchyQuery)
-    def on_hierarchy_query(self, message: Message, payload: HierarchyQuery) -> None:
-        """Center-key owner: climb the hierarchy and answer the client."""
-        hier = self.system.hierarchy_index
-        if hier is None:
-            return
-        position_range = self.system.position_range_of_keys(
-            payload.low_key, payload.high_key
-        )
-
-        def answer(matches) -> None:
-            push = ResponsePush(
-                client_id=payload.client_id,
-                query_id=payload.query_id,
-                similarity=list(matches),
-            )
-            self.runtime.send_response(payload.client_id, push)
-
-        hier.query(
-            self.node_id,
-            payload.feature,
-            payload.radius,
-            answer,
-            position_range=position_range,
         )
 
     # ------------------------------------------------------------------

@@ -15,6 +15,11 @@ roles of Fig. 5 at once, each one service of :mod:`repro.core.roles`:
 * **client** — posts similarity and inner-product queries on behalf of
   local users and collects the responses.
 
+A fifth role, the Sec. VI-B **leader hierarchy**
+(:class:`~repro.core.hierarchy.HierarchyService`), pushes stored
+summaries up a chain of cluster leaders and serves wide queries by a
+leader climb; it sends only when ``hierarchy`` is configured.
+
 Inner-product queries follow Sec. IV-D: the stream id is hashed with a
 second function ``h2`` onto the ring as a location service; the query is
 forwarded to the stream's source, which answers from the summary via
@@ -50,6 +55,7 @@ from typing import Callable, Deque, Optional, Set, Tuple
 from ..chord.node import ChordNode
 from ..perf import counters as _opc
 from ..sim.network import Message
+from .hierarchy import HierarchyService
 from .protocol import KIND, Ack, PayloadSpec, next_delivery_id, spec_of
 from .reliable import ReliableSender
 from .roles.aggregator import AggregatorService
@@ -71,16 +77,18 @@ FLOW_ROLE = "(runtime)"
 #: let a duplicate through as a fresh delivery.
 DEDUP_SEEN_LIMIT = 8192
 
-#: the Fig. 5 role set, in tick fan-out order: the notification tick
-#: must run purge/report (holder) -> response push (aggregator) ->
-#: inner-product push (source), and the refresh tick re-asserts source
-#: state before client state — both orders are load-bearing for the
-#: byte-identical determinism contract.
+#: the Fig. 5 role set plus the Sec. VI-B hierarchy, in tick fan-out
+#: order: the notification tick must run purge/report (holder) ->
+#: response push (aggregator) -> inner-product push (source), and the
+#: refresh tick re-asserts source state before client state — both
+#: orders are load-bearing for the byte-identical determinism contract.
+#: The hierarchy has no periodic duty.
 DEFAULT_SERVICES = (
     IndexHolderService,
     AggregatorService,
     SourceService,
     ClientService,
+    HierarchyService,
 )
 
 #: payload type -> (role class, handler method name), scanned once per
@@ -90,7 +98,7 @@ HANDLERS = handler_names(DEFAULT_SERVICES)
 
 
 class NodeRuntime:
-    """The app of one data center: four roles, dispatch, reliability, ticks."""
+    """The app of one data center: five roles, dispatch, reliability, ticks."""
 
     def __init__(self, node: ChordNode, system) -> None:
         self.node = node
@@ -113,7 +121,7 @@ class NodeRuntime:
         self._seen_order: Deque[Tuple[int, int]] = deque()
         #: the role services, in :data:`DEFAULT_SERVICES` order
         self.services = tuple(cls(self) for cls in DEFAULT_SERVICES)
-        self.holder, self.aggregator, self.source, self.client = self.services
+        self.holder, self.aggregator, self.source, self.client, self.hierarchy = self.services
         by_class = dict(zip(DEFAULT_SERVICES, self.services))
         #: payload type -> (its registry spec, this node's bound handler)
         self.dispatch = {

@@ -139,19 +139,6 @@ class StreamIndexSystem:
             if self.config.replication_factor > 1:
                 self.stabilizer.on_round = self._replication_round
 
-        # Sec. VI-B: optional cluster hierarchy over the ring order for
-        # wide-selectivity queries
-        self.hierarchy_index = None
-        if self.config.hierarchy and n_nodes >= 2:
-            from .hierarchy import ClusterHierarchy, HierarchicalIndex
-
-            cluster = ClusterHierarchy(list(self.ring.node_ids))
-            # the level-0 margin is 0.02, not HierarchicalIndex's 0.01
-            # default (pinned in tests/integration/test_hierarchy_mode.py)
-            self.hierarchy_index = HierarchicalIndex(
-                self.network, cluster, base_margin=0.02
-            )
-
         self.apps: Dict[int, NodeRuntime] = {}
         self._app_order: List[NodeRuntime] = []
         self._nper_procs: List[PeriodicProcess] = []
@@ -465,21 +452,6 @@ class StreamIndexSystem:
         originator crashed, so the complement is the dead-letter rate.
         """
         return self.network.stats.eventual_delivery_ratio(self.pending_reliable())
-
-    def position_range_of_keys(self, low_key: int, high_key: int):
-        """Positions (ring-order indices) of the nodes covering a key range.
-
-        The hierarchy climbs by positional coverage; computing the exact
-        positions from actual key ownership (rather than assuming
-        uniformly spread identifiers) preserves the no-false-dismissal
-        guarantee for hierarchy-served queries.
-        """
-        from bisect import bisect_left
-
-        covering = self.ring.nodes_covering_range(low_key, high_key)
-        ids = self.ring.node_ids
-        positions = sorted(bisect_left(ids, n.node_id) for n in covering)
-        return positions[0], positions[-1] + 1
 
     def figure_metrics(self, duration_ms: float) -> FigureMetrics:
         """Figure-ready metrics over the last ``duration_ms`` of activity.

@@ -193,9 +193,9 @@ class PeerSystem:
     """The slice of ``StreamIndexSystem`` a socket-backed node needs.
 
     :class:`~repro.core.runtime.NodeRuntime` and the role services read
-    ``config`` / ``transport`` / ``rngs`` / ``placement`` /
-    ``hierarchy_index`` from their system; everything else they consume
-    goes through the Transport seam.
+    ``config`` / ``transport`` / ``rngs`` / ``placement`` / ``mapper`` /
+    ``ring`` (this peer's membership mirror) from their system;
+    everything else they consume goes through the Transport seam.
     """
 
     def __init__(self, peer: "PeerNode", seed: int = 0) -> None:
@@ -205,7 +205,7 @@ class PeerSystem:
         self.rngs = RngRegistry(seed)
         self.mapper = LinearKeyMapper(peer.ring.space)
         self.placement = ContentPlacement(self)
-        self.hierarchy_index = None
+        self.ring = peer.ring
 
     def _node_alive(self, node_id: int) -> bool:
         return node_id in self._peer.ring.node_ids

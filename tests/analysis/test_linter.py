@@ -2,6 +2,7 @@
 
 import io
 import textwrap
+from pathlib import Path
 
 from repro.analysis import lint_paths
 from repro.analysis.linter import collect_files, lint_file
@@ -137,3 +138,19 @@ def test_repo_source_tree_is_clean():
 
     src_root = repro.__file__.rsplit("/", 2)[0]
     assert lint_paths([src_root]) == []
+
+
+def test_repo_source_tree_waives_no_d010():
+    # Every send goes through the overlay, the runtime or reliable
+    # delivery: with no D010 waiver left, the clean lint above means
+    # network.hop / network.local appear only in D010's exempt files.
+    import repro
+
+    src_root = Path(repro.__file__).parent
+    waived = [
+        f"{path.relative_to(src_root)}:{lineno}"
+        for path in sorted(src_root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "simlint: disable=D010" in line
+    ]
+    assert waived == []

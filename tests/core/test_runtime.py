@@ -25,7 +25,10 @@ from repro.core.protocol import (
     PAYLOAD_REGISTRY,
     Ack,
     Backpressure,
+    HierarchyAnswer,
+    HierarchyClimb,
     HierarchyQuery,
+    HierarchyUpdate,
     HintedHandoff,
     InnerProductSubscribe,
     LoadShed,
@@ -109,6 +112,25 @@ PAYLOAD_FACTORIES = {
         radius=0.5,
         low_key=app.node_id,
         high_key=app.node_id,
+    ),
+    HierarchyUpdate: lambda app, peer: HierarchyUpdate(
+        mbr=MBR.of_point(np.array([0.5, 0.5]), stream_id="sX"),
+        level=0,
+        expires_ms=5_000.0,
+    ),
+    # both answer the app itself, so the response push is a local delivery
+    HierarchyClimb: lambda app, peer: HierarchyClimb(
+        query_id=7,
+        client_id=app.node_id,
+        owner_id=app.node_id,
+        feature=np.zeros(2),
+        radius=0.5,
+        lo_idx=0,
+        hi_idx=1,
+        level=0,
+    ),
+    HierarchyAnswer: lambda app, peer: HierarchyAnswer(
+        query_id=7, client_id=app.node_id, matches=[("sX", 0.1)]
     ),
     SimilarityReport: lambda app, peer: SimilarityReport(
         reporter_id=peer.node_id, middle_key=app.node_id
@@ -405,4 +427,10 @@ def test_app_is_what_the_overlay_delivers_to_and_each_roles_runtime():
         assert system.app(i) is app
         assert system.overlay._apps[app.node_id] is app
         assert all(service.runtime is app for service in app.services)
-        assert (app.holder, app.aggregator, app.source, app.client) == app.services
+        assert (
+            app.holder,
+            app.aggregator,
+            app.source,
+            app.client,
+            app.hierarchy,
+        ) == app.services

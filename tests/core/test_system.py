@@ -123,10 +123,10 @@ def test_position_range_of_keys_simple():
     system = StreamIndexSystem(8, cfg(), seed=89)
     ids = system.ring.node_ids
     # the full circle covers every position
-    lo, hi = system.position_range_of_keys(0, system.ring.space.size - 1)
+    lo, hi = system.app(0).hierarchy.position_range_of_keys(0, system.ring.space.size - 1)
     assert (lo, hi) == (0, len(ids))
     # a single node's own id covers exactly its position
-    lo, hi = system.position_range_of_keys(ids[3], ids[3])
+    lo, hi = system.app(0).hierarchy.position_range_of_keys(ids[3], ids[3])
     assert (lo, hi) == (3, 4)
 
 

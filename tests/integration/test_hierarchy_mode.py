@@ -3,12 +3,16 @@
 With ``MiddlewareConfig(hierarchy=True)``, summaries feed the leader
 hierarchy from their content-placed nodes, and similarity queries whose
 radius exceeds the threshold are served by a leader climb instead of
-range replication.
+range replication.  Each node's role keeps its own store and leader
+chain, rebuilt from the ring when membership changes, so joins and
+crashes are served too.
 """
 
 import numpy as np
 
 from repro.core import KIND, MiddlewareConfig, SimilarityQuery, StreamIndexSystem, WorkloadConfig
+from repro.core import hierarchy as hierarchy_module
+from repro.streams.generators import RandomWalkGenerator
 
 
 def hier_config(**kw):
@@ -34,32 +38,48 @@ def hier_config(**kw):
 
 
 def warm(n=16, seed=61, **kw):
-    system = StreamIndexSystem(n, hier_config(**kw), seed=seed)
+    stabilizer = kw.pop("with_stabilizer", False)
+    system = StreamIndexSystem(n, hier_config(**kw), seed=seed, with_stabilizer=stabilizer)
     system.attach_random_walk_streams()
     system.warmup()
     return system
 
 
+def streams_known(app):
+    """Stream ids with an unexpired entry at some level of ``app``'s store."""
+    now = app.transport.now
+    return {sid for (sid, _lv), e in app.hierarchy.store.items() if e.expires > now}
+
+
+def root_of(system):
+    """The app at ring position 0: the leader of every level."""
+    return system.app_by_id(system.ring.node_ids[0])
+
+
 def test_hierarchy_index_built_when_enabled():
     system = warm(n=8)
-    assert system.hierarchy_index is not None
-    assert system.hierarchy_index.hierarchy.node_ids == list(system.ring.node_ids)
-    disabled = StreamIndexSystem(4, hier_config(hierarchy=False), seed=1)
-    assert disabled.hierarchy_index is None
+    assert root_of(system).hierarchy.store
+    assert system.network.stats.sends_by_kind[KIND.HIER_UPDATE] > 0
+    disabled = warm(n=4, seed=1, hierarchy=False)
+    assert not any(app.hierarchy.store for app in disabled.all_apps)
+    assert KIND.HIER_UPDATE not in disabled.network.stats.sends_by_kind
 
 
 def test_hierarchy_runs_with_its_fixed_cluster_size_and_margin():
-    """4-node bottom clusters and a 0.02 level-0 margin, not the 0.01
-    ``HierarchicalIndex`` default: no config field sets either."""
+    """4-node bottom clusters and a 0.02 level-0 margin: no config field
+    sets either."""
+    assert hierarchy_module.CLUSTER_SIZE == 4
+    assert hierarchy_module.BASE_MARGIN == 0.02
     system = warm(n=8)
-    assert system.hierarchy_index.hierarchy.cluster_size == 4
-    assert system.hierarchy_index.base_margin == 0.02
+    # positions 0 and 4 lead the two bottom clusters of 8 nodes
+    assert {len(app.hierarchy._chain()) for app in system.all_apps} == {2}
+    leaders = {app.hierarchy._chain()[0].leader for app in system.all_apps}
+    assert leaders == {system.ring.node_ids[0], system.ring.node_ids[4]}
 
 
 def test_summaries_reach_the_hierarchy_root():
     system = warm(n=16, seed=62)
-    root = system.hierarchy_index.hierarchy.root
-    known = system.hierarchy_index.streams_known(root)
+    known = streams_known(root_of(system))
     # nearly every live stream should be represented at the root
     assert len(known) >= 0.8 * system.n_nodes
 
@@ -155,16 +175,56 @@ def test_hierarchy_entries_expire_with_bspan():
     system = warm(n=12, seed=67)
     for proc in system._stream_procs:
         proc.stop()
+    donor = next(iter(system.app(2).sources.values()))
     bspan = system.config.workload.bspan_ms
     system.run(bspan + 5_000.0)
-    root = system.hierarchy_index.hierarchy.root
-    # scans no longer return anything anywhere
-    got = []
-    system.hierarchy_index.query(
-        root, np.zeros(2 * system.config.k), radius=2.0, on_answer=got.append
+    assert all(not streams_known(app) for app in system.all_apps)
+    # a whole-range query is still answered, but from expired entries only
+    responses = system.network.stats.originations[KIND.RESPONSE]
+    client = system.app(0)
+    qid = client.post_similarity_query(
+        SimilarityQuery(
+            pattern=donor.extractor.window.values(), radius=2.0, lifespan_ms=8_000.0
+        )
     )
     system.run(2_000.0)
-    assert got and got[0] == []
-    # purge physically removes them
-    removed = system.hierarchy_index.purge(root)
-    assert removed > 0
+    assert system.network.stats.originations[KIND.RESPONSE] == responses + 1
+    assert client.similarity_results[qid] == []
+
+
+def test_join_feeds_the_newcomer_into_the_root():
+    """A joining node gets its own store and leader chain: its summaries
+    reach the root, and no one's chain still names the old membership."""
+    system = warm(n=16, seed=62, with_stabilizer=True)
+    newcomer = system.join_node("newcomer")
+    walk = RandomWalkGenerator(system.rngs.fork("stream", 99))
+    system.attach_stream(newcomer, "newcomer-stream", walk.next_value)
+    system.run(3_000.0)
+    assert "newcomer-stream" in streams_known(root_of(system))
+    assert newcomer.hierarchy.store
+    live = set(system.ring.node_ids)
+    for app in system.all_apps:
+        assert {c.leader for c in app.hierarchy._chain()} <= live
+
+
+def test_root_crash_recovers_within_one_stabilization_round():
+    """After the root leader crashes, every chain names a new root, and
+    a wide query posted one stabilization round (500 ms) later returns
+    the donor stream."""
+    system = warm(n=16, seed=62, with_stabilizer=True)
+    root = root_of(system)
+    system.fail_node(root)
+    system.run(system.stabilizer.period_ms)
+    donor = next(iter(system.app(5).sources.values()))
+    client = system.app(3)
+    qid = client.post_similarity_query(
+        SimilarityQuery(
+            pattern=donor.extractor.window.values(), radius=1.0, lifespan_ms=8_000.0
+        )
+    )
+    system.run(1_000.0)
+    found = {m.stream_id for m in client.similarity_results[qid]}
+    assert donor.stream_id in found
+    new_root = root_of(system)
+    assert new_root is not root
+    assert donor.stream_id in streams_known(new_root)

@@ -39,7 +39,7 @@ PATTERN = VALUES["s1"][-8:]
 RADIUS = 0.3
 
 
-def make_config():
+def make_config(**kw):
     return MiddlewareConfig(
         m=32,
         window_size=8,
@@ -47,6 +47,7 @@ def make_config():
         k=2,
         hop_delay_ms=0.0,
         workload=WorkloadConfig(qrate_per_s=0.0, nper_ms=100.0),
+        **kw,
     )
 
 
@@ -60,9 +61,9 @@ def reporters(matches, apps, qid):
     return {m.reported_by for m in matches}, {a.node_id for a in apps if qid in a.aggregator.aggregators}
 
 
-def sim_reference():
+def sim_reference(**kw):
     """Placements and query answers from the deterministic simulator."""
-    system = StreamIndexSystem(N_NODES, make_config(), seed=SEED)
+    system = StreamIndexSystem(N_NODES, make_config(**kw), seed=SEED)
     apps = {app.node.name: app for app in system.all_apps}
     for sid, name in sorted(PUBLISHER.items()):
         feed = iter(VALUES[sid])
@@ -79,15 +80,15 @@ def sim_reference():
     return placements, normalize_answers(matches), reporters(matches, apps.values(), qid)
 
 
-async def cluster_run():
+async def cluster_run(**kw):
     """The same workload over real sockets on 127.0.0.1."""
     peers = []
     try:
-        seed_peer = PeerNode("dc-0", "127.0.0.1", 0, make_config(), seed=SEED)
+        seed_peer = PeerNode("dc-0", "127.0.0.1", 0, make_config(**kw), seed=SEED)
         await seed_peer.start(None)
         peers.append(seed_peer)
         for i in range(1, N_NODES):
-            peer = PeerNode(f"dc-{i}", "127.0.0.1", 0, make_config(), seed=SEED)
+            peer = PeerNode(f"dc-{i}", "127.0.0.1", 0, make_config(**kw), seed=SEED)
             await peer.start(("127.0.0.1", seed_peer.port))
             peers.append(peer)
         await asyncio.sleep(0.3)
@@ -136,6 +137,20 @@ def test_loopback_cluster_matches_sim_reference():
     reported_by, aggregators = sim_who
     assert reported_by == aggregators and len(aggregators) == 1
     assert net_who == sim_who
+
+
+def test_loopback_cluster_runs_the_hierarchy_like_the_sim():
+    """With ``hierarchy=True`` the radius-0.3 query (above the 0.25
+    threshold) is served by the leader climb in both runtimes: no node
+    holds a subscription, and the snapshot answers are the same."""
+    sim_placements, sim_answers, sim_who = sim_reference(hierarchy=True)
+    net_placements, net_answers, net_who = asyncio.run(cluster_run(hierarchy=True))
+
+    assert sim_answers, "sim reference produced no query answers"
+    assert net_placements == sim_placements
+    assert net_answers == sim_answers
+    # one-shot answers: no aggregator anywhere, in either runtime
+    assert sim_who[1] == net_who[1] == set()
 
 
 def test_departed_peer_leaves_membership():
