@@ -1,125 +1,168 @@
-"""Sec. VI-B — hierarchical partitioning for variable-selectivity queries.
+"""Sec. VI-B — the leader hierarchy against the flat range, end to end.
 
 The flat design's weak spot (Figs. 7/8): a query's key range covers
-~r·N nodes, so wide queries touch most of the system.  The cluster
-hierarchy serves a query of any selectivity with O(log_c N) contacts by
-climbing to the level whose subtree covers the query volume, at the
-cost of upward update traffic (damped by MBR widening / update
-suppression).  This bench sweeps the radius and compares contacts per
-query, and measures the update-suppression benefit.
+~r·N nodes, so a wide query is installed on most of the system.  With
+``MiddlewareConfig(hierarchy=True)`` every data center also runs the
+hierarchy role: summaries climb a chain of cluster leaders (widened,
+with update suppression), and a query wider than the threshold is
+answered by a short leader climb instead — a one-shot snapshot rather
+than a continuous subscription.
+
+:func:`measure` runs one deployment under the paper's Poisson query
+workload and reports what the comparison needs: messages per node per
+second *including* the upward updates, the max/mean per-node load
+(the Fig. 6(b) metric), the root leader's load against the mean, and
+recall against the raw windows.  The pytest bench runs one seed at
+N = 64; ``python benchmarks/bench_hierarchy.py`` runs the EXPERIMENTS.md
+sweep (5 seeds, N ∈ {64, 256}, r ∈ {0.3, 0.5, 1.0}; ~5 min on a 2-core VM).
 """
+
+from __future__ import annotations
+
+import sys
+from statistics import median
 
 import numpy as np
 
 from repro.bench import format_series
-from repro.core.hierarchy import ClusterHierarchy, HierarchicalIndex
-from repro.core.mbr import MBR
-from repro.sim import Network, Simulator
+from repro.core import KIND, MiddlewareConfig, StreamIndexSystem, WorkloadConfig
+from repro.streams.normalize import unit_normalize, z_normalize
+from repro.workload import QueryWorkload
 
-N_NODES = 256
-RADII = (0.02, 0.1, 0.25, 0.5, 1.0)
-
-
-def build(base_margin=0.02):
-    sim = Simulator()
-    net = Network(sim)
-    hier = ClusterHierarchy(list(range(N_NODES)), cluster_size=4)
-    idx = HierarchicalIndex(net, hier, base_margin=base_margin)
-    return sim, net, hier, idx
-
-
-def owner_of(value):
-    """Content placement: the node whose position covers the value
-    (what the flat layer's Eq. 6 routing does)."""
-    return min(N_NODES - 1, int((value + 1.0) / 2.0 * N_NODES))
+RADII = (0.3, 0.5, 1.0)
+#: simulated seconds of Poisson query arrivals after warm-up
+MEASURE_MS = 20_000.0
+#: quiet time before answers are read, so that a query posted in the
+#: last instant has been answered too: a full-range flat subscription
+#: at N = 256 walks ~128 hops (6.4 s) before the detect tick, the
+#: report, the aggregator's push tick and the response (~11 s in all)
+DRAIN_MS = 20_000.0
+#: the kinds a query's own installation or climb is sent under
+QUERY_KINDS = (KIND.QUERY, KIND.QUERY_SPAN, KIND.QUERY_TRANSIT, KIND.HIER_QUERY)
+NORMALIZE = {"z": z_normalize, "unit": unit_normalize, "none": np.asarray}
 
 
-def feed(sim, idx, rng, rounds=30):
-    walks = rng.uniform(-0.5, 0.5, size=N_NODES)
-    for _ in range(rounds):
-        walks = np.clip(walks + rng.normal(0, 0.01, size=N_NODES), -0.7, 0.7)
-        for nid in range(N_NODES):
-            idx.publish(
-                owner_of(walks[nid]),
-                MBR.of_point(np.array([walks[nid], 0.0]), stream_id=f"s{nid}"),
-            )
-        sim.run()
-    return walks
+def measure(n_nodes: int, radius: float, seed: int, hierarchy: bool) -> dict:
+    """One run: 2 q/s at ``radius`` for :data:`MEASURE_MS` after warm-up."""
+    cfg = MiddlewareConfig(
+        window_size=64,
+        batch_size=2,
+        hierarchy=hierarchy,
+        workload=WorkloadConfig(qrate_per_s=0.0),
+    )
+    system = StreamIndexSystem(n_nodes, cfg, seed=seed)
+    system.attach_random_walk_streams()
+    system.warmup()
+    system.reset_stats()
+    workload = QueryWorkload(system, radius=radius, rate_per_s=2.0)
+    normalize = NORMALIZE[cfg.normalization]
+    end = system.sim.now + MEASURE_MS
+    posted = []  # (client app, query id, raw-window truth at post time)
 
-
-def test_hierarchy_wide_queries(benchmark, save_result):
-    def compute():
-        rng = np.random.default_rng(3)
-        sim, net, hier, idx = build()
-        positions = feed(sim, idx, rng)
-        series = {
-            "hierarchy contacts": [],
-            "flat range contacts (r*N)": [],
-            "recall (true matches found)": [],
+    def arrival() -> None:
+        if system.sim.now >= end:
+            return
+        app = system.app(int(workload.rng.integers(system.n_nodes)))
+        query = workload.make_query()
+        target = normalize(query.pattern)
+        truth = {
+            sid
+            for a in system.all_apps
+            for sid, src in a.sources.items()
+            if src.extractor.ready
+            and np.linalg.norm(normalize(src.extractor.window.values()) - target)
+            <= radius
         }
-        center = 0.1
-        for r in RADII:
-            got = []
-            # the query starts at the owner of its center key, exactly
-            # where the flat layer content-routes it
-            contacts = idx.query(
-                owner_of(center),
-                np.array([center, 0.0]),
-                radius=r,
-                on_answer=got.append,
-            )
-            sim.run()
-            found = {s for s, _ in got[0]} if got else set()
-            truth = {
-                f"s{n}" for n in range(N_NODES) if abs(positions[n] - center) <= r
-            }
-            recall = len(found & truth) / max(1, len(truth))
-            series["hierarchy contacts"].append(contacts)
-            series["flat range contacts (r*N)"].append(max(1.0, r * N_NODES))
-            series["recall (true matches found)"].append(recall)
-        return series
+        posted.append((app, app.post_similarity_query(query), truth))
+        system.sim.schedule(float(workload.rng.exponential(500.0)), arrival)
 
-    series = benchmark.pedantic(compute, rounds=1, iterations=1)
+    system.sim.schedule(float(workload.rng.exponential(500.0)), arrival)
+    system.run(MEASURE_MS)
+    stats = system.network.stats
+    sends = sum(stats.sends_by_kind.values())
+    updates = stats.sends_by_kind.get(KIND.HIER_UPDATE, 0)
+    query_msgs = sum(stats.sends_by_kind.get(kind, 0) for kind in QUERY_KINDS)
+    load = system.physical_load()
+    mean_load = sum(load.values()) / n_nodes
+    root = system.ring.node(system.ring.node_ids[0])
+    system.run(DRAIN_MS)
+    expected = hit = 0
+    for app, qid, truth in posted:
+        found = {m.stream_id for m in app.similarity_results.get(qid, [])}
+        expected += len(truth)
+        hit += len(truth & found)
+    return {
+        "msgs_per_node_s": sends / n_nodes / (MEASURE_MS / 1000.0),
+        "update_share": updates / sends,
+        "query_msgs_per_query": query_msgs / max(1, len(posted)),
+        "max_mean_load": max(load.values()) / mean_load,
+        "root_load_x_mean": load.get(root.physical_name, 0) / mean_load,
+        "recall": hit / expected if expected else float("nan"),
+        "true_per_query": expected / max(1, len(posted)),
+        "queries": len(posted),
+    }
+
+
+def sweep(n_values, seeds, radii=RADII) -> dict:
+    """Per (N, r, mode): the median of each metric over ``seeds``."""
+    rows = {}
+    for n in n_values:
+        for r in radii:
+            for mode in (False, True):
+                runs = [measure(n, r, seed, mode) for seed in seeds]
+                rows[(n, r, "hierarchy" if mode else "flat")] = {
+                    key: median(run[key] for run in runs) for key in runs[0]
+                }
+    return rows
+
+
+def render(rows: dict) -> str:
+    head = (
+        "| N | r | mode | msgs/node/s | hier_update share | query msgs/query "
+        "| max/mean load | root load / mean | true matches/query | recall |\n"
+        "|---|---|---|---|---|---|---|---|---|---|"
+    )
+    lines = [head]
+    for (n, r, mode), m in rows.items():
+        lines.append(
+            f"| {n} | {r} | {mode} | {m['msgs_per_node_s']:.1f} "
+            f"| {m['update_share']:.0%} | {m['query_msgs_per_query']:.1f} "
+            f"| {m['max_mean_load']:.2f} "
+            f"| {m['root_load_x_mean']:.2f} | {m['true_per_query']:.1f} "
+            f"| {m['recall']:.3f} |"
+        )
+    return "\n".join(lines)
+
+
+def test_hierarchy_against_flat_range(benchmark, save_result):
+    n = 64
+    rows = benchmark.pedantic(lambda: sweep([n], [0]), rounds=1, iterations=1)
+    series = {
+        f"{metric} ({mode})": [rows[(n, r, mode)][metric] for r in RADII]
+        for metric in ("msgs_per_node_s", "max_mean_load", "root_load_x_mean", "recall")
+        for mode in ("flat", "hierarchy")
+    }
     save_result(
-        "hierarchy_queries",
+        "hierarchy_vs_flat",
         format_series(
-            f"Sec. VI-B: hierarchy vs flat range for varying selectivity (N={N_NODES})",
+            f"Sec. VI-B: hierarchy vs flat range, 2 q/s (N={n}, seed 0)",
             "radius",
             RADII,
             series,
         ),
     )
+    for r in RADII:
+        hier = rows[(n, r, "hierarchy")]
+        # the upward updates are paid for: the total bill counts them
+        assert hier["update_share"] > 0.1
+        # the root leader carries more than the mean, the price of the climb
+        assert hier["root_load_x_mean"] > 1.5
+    # a full-range query costs less through the hierarchy, updates included
+    assert rows[(n, 1.0, "hierarchy")]["msgs_per_node_s"] < rows[(n, 1.0, "flat")][
+        "msgs_per_node_s"
+    ]
 
-    depth_bound = np.log(N_NODES) / np.log(4) + 2
-    for contacts in series["hierarchy contacts"]:
-        assert contacts <= depth_bound
-    # for wide queries the flat range touches 25-100% of the system
-    # while the hierarchy stays logarithmic
-    assert series["flat range contacts (r*N)"][-1] / series["hierarchy contacts"][-1] > 10
-    # no false dismissals anywhere (widened boxes only add candidates)
-    assert all(r == 1.0 for r in series["recall (true matches found)"])
 
-
-def test_hierarchy_update_suppression(benchmark, save_result):
-    def compute():
-        out = {}
-        for label, margin in (("margin 0.001", 0.001), ("margin 0.05", 0.05)):
-            rng = np.random.default_rng(4)
-            sim, net, hier, idx = build(base_margin=margin)
-            feed(sim, idx, rng, rounds=20)
-            total = idx.stats.updates_sent + idx.stats.updates_suppressed
-            out[label] = idx.stats.updates_suppressed / max(1, total)
-        return out
-
-    out = benchmark.pedantic(compute, rounds=1, iterations=1)
-    save_result(
-        "hierarchy_suppression",
-        format_series(
-            "Sec. VI-B: upward-update suppression vs widening margin",
-            "variant",
-            list(out),
-            {"suppressed fraction": list(out.values())},
-        ),
-    )
-    assert out["margin 0.05"] > out["margin 0.001"]
-    assert out["margin 0.05"] > 0.5
+if __name__ == "__main__":
+    seeds = range(int(sys.argv[1]) if len(sys.argv) > 1 else 5)
+    print(render(sweep([64, 256], seeds)))
