@@ -12,8 +12,8 @@ decorator::
         def on_mbr(self, message, payload): ...
 
 :func:`handler_names` collects those declarations into a payload-type ->
-handler-name map, once per process for the four Fig. 5 roles
-(:data:`repro.core.runtime.HANDLERS`); every
+handler-name map, once per process for the four Fig. 5 roles and the
+Sec. VI-B hierarchy (:data:`repro.core.runtime.HANDLERS`); every
 :class:`~repro.core.runtime.NodeRuntime` binds its own services'
 methods from it — the paper's system and the Sec. IV-A strawmen
 (:mod:`repro.baselines`) alike.  The declarative dispatch replaces

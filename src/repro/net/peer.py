@@ -2,7 +2,7 @@
 
 ``python -m repro node --listen host:port [--join host:port]`` boots one
 :class:`PeerNode` — an unchanged :class:`~repro.core.runtime.NodeRuntime`
-(dispatch, reliability, all four Fig. 5 role services) whose
+(dispatch, reliability, the Fig. 5 and Sec. VI-B role services) whose
 :class:`AsyncioTransport` sends each overlay message as one binary
 frame (:mod:`repro.net.wire`) over TCP instead of simulated hops.
 
