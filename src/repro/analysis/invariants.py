@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..chord.node import ChordNode
     from ..chord.ring import ChordRing
     from ..core.system import StreamIndexSystem
     from ..sim.network import Network
@@ -225,19 +226,15 @@ def check_physical_ownership(ring: "ChordRing") -> InvariantReport:
     """Check that per-physical token arcs partition the circle.
 
     Under virtual nodes a physical node's ownership is the *union* of
-    its tokens' ``(predecessor, self]`` arcs.  Aggregated per physical
-    node, those unions must still partition the identifier circle:
-    every physical node's arc widths sum to a positive share, and the
-    shares of all physical nodes sum to exactly ``2**m``.  Each token
-    must also carry a stable ``physical_name`` and never be counted
-    under two physical nodes (the naming scheme in
-    :mod:`repro.chord.vnodes` guarantees this; the check catches
-    hand-built rings that violate it).  Without virtual nodes every
-    physical group has exactly one token and this reduces to the
-    ownership-partition clause of :func:`check_ring`.
+    its tokens' ``(predecessor, self]`` arcs.  Grouped by
+    ``physical_name``, those unions must still partition the identifier
+    circle: every physical node's live tokens sum to a positive share,
+    and the shares of all physical nodes sum to exactly ``2**m``.  Every
+    ring member must also be live (a crash takes its tokens off the
+    ring).  Without virtual nodes every physical group has exactly one
+    token and this reduces to the ownership-partition clause of
+    :func:`check_ring`.
     """
-    from ..chord.vnodes import VirtualNodeMap
-
     report = InvariantReport()
     ids = ring.node_ids
     n = len(ids)
@@ -248,9 +245,6 @@ def check_physical_ownership(ring: "ChordRing") -> InvariantReport:
         )
         return report
 
-    vmap = VirtualNodeMap()
-    for node in ring:
-        vmap.register(node)
     size = ring.space.size
     arc_width = {}
     for idx, node_id in enumerate(ids):
@@ -258,12 +252,14 @@ def check_physical_ownership(ring: "ChordRing") -> InvariantReport:
         # a single-token ring owns the full circle, not a zero arc
         width = (node_id - pred_id) % size or size
         arc_width[node_id] = width
+    tokens_of: Dict[str, List["ChordNode"]] = {}
+    for node in ring:
+        tokens_of.setdefault(node.physical_name, []).append(node)
 
     total = 0
-    for phys in vmap.physical_names():
-        tokens = vmap.tokens_of(phys)
+    for phys, tokens in tokens_of.items():
         report.checks_run += 1
-        live = [t for t in tokens if t in arc_width]
+        live = [t for t in tokens if t.alive]
         if not live:
             report.violations.append(
                 Violation(
@@ -271,7 +267,7 @@ def check_physical_ownership(ring: "ChordRing") -> InvariantReport:
                 )
             )
             continue
-        share = sum(arc_width[t] for t in live)
+        share = sum(arc_width[t.node_id] for t in live)
         total += share
         report.checks_run += 1
         if not (0 < share <= size):
@@ -282,17 +278,14 @@ def check_physical_ownership(ring: "ChordRing") -> InvariantReport:
                     f"aggregated arc share {share} outside (0, {size}]",
                 )
             )
-        # every live token of this physical group reports the same owner
-        for t in live:
+        for t in tokens:
             report.checks_run += 1
-            owner = ring.node(t).physical_name
-            if owner != phys:
+            if not t.alive:
                 report.violations.append(
                     Violation(
                         "ring",
-                        f"N{t}",
-                        f"token registered under {phys!r} but carries "
-                        f"physical_name {owner!r}",
+                        f"N{t.node_id}",
+                        f"token of {phys!r} is on the ring but marked dead",
                     )
                 )
 

@@ -16,7 +16,7 @@ from .node import ChordNode
 from .ring import ChordRing, RingError
 from .routing import LookupError_, find_successor, lookup_path
 from .stabilize import Stabilizer
-from .vnodes import VirtualNodeMap, vnode_names
+from .vnodes import max_mean_ratio, vnode_names
 
 __all__ = [
     "ArcStats",
@@ -39,6 +39,6 @@ __all__ = [
     "find_successor",
     "lookup_path",
     "Stabilizer",
-    "VirtualNodeMap",
+    "max_mean_ratio",
     "vnode_names",
 ]

@@ -21,7 +21,7 @@ negligible).  And :meth:`ChordRing.create_virtual_nodes` places ``v``
 tokens per physical node (DESIGN.md §13): each token is an ordinary
 :class:`~repro.chord.node.ChordNode`, so everything else in this module
 is token-agnostic — per-physical aggregation happens strictly above the
-ring, in :class:`~repro.chord.vnodes.VirtualNodeMap`.
+ring, by :attr:`~repro.chord.node.ChordNode.physical_name`.
 
 Dynamic membership (join / leave / fail with stabilization) lives in
 :mod:`repro.chord.stabilize`; after churn settles, :meth:`ChordRing

@@ -125,11 +125,10 @@ class MiddlewareConfig:
         once ``ceil((r + 1) / 2)`` replica holders report the same
         version of the stream's MBR; stale reporters get read-repaired).
     loss_rate / duplicate_rate:
-        Convenience fault knobs: when either is non-zero (and no
-        explicit :class:`~repro.sim.faults.FaultPlan` is given to the
-        system) the network drops / duplicates each hop with these
-        probabilities.  Delay jitter needs an explicit plan with a
-        :class:`~repro.sim.faults.JitteredDelay`.
+        The network's fault model: when either is non-zero the system
+        attaches a :class:`~repro.sim.faults.FaultInjector` that drops /
+        duplicates each hop with these probabilities.  Every surviving
+        copy still takes ``hop_delay_ms``.
     virtual_nodes:
         ``v``: ring identifiers (tokens) owned by every physical data
         center (DESIGN.md §13).  Each token is a full Chord node with

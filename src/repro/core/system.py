@@ -25,10 +25,10 @@ from typing import Callable, Dict, List, Optional
 from ..chord.dht import DhtOverlay
 from ..chord.ring import ChordRing
 from ..chord.stabilize import Stabilizer
-from ..chord.vnodes import VirtualNodeMap, vnode_names
+from ..chord.vnodes import max_mean_ratio, vnode_names
 from ..net.transport import SimTransport
 from ..sim.engine import Simulator
-from ..sim.faults import FaultInjector, FaultPlan
+from ..sim.faults import FaultInjector
 from ..sim.network import MessageStats, Network
 from ..sim.process import PeriodicProcess, StreamClock
 from ..sim.rng import RngRegistry
@@ -60,10 +60,6 @@ class StreamIndexSystem:
     with_stabilizer:
         Attach the churn/maintenance protocol (needed only for dynamic
         membership experiments; static experiments skip its event load).
-    fault_plan:
-        Explicit network fault model; overrides the convenience
-        ``loss_rate`` / ``duplicate_rate`` config knobs.  ``None`` with
-        both at zero keeps the paper's perfect fabric.
 
     Subclasses change what the deployment is through two class
     attributes: :attr:`placement_class` decides which nodes hold an MBR
@@ -84,21 +80,18 @@ class StreamIndexSystem:
         seed: int = 0,
         mapper=None,
         with_stabilizer: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.config = config if config is not None else MiddlewareConfig()
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
-        if fault_plan is None:
-            fault_plan = self._plan_from_config(self.config)
+        cfg = self.config
+        # both rates at zero keep the paper's perfect fabric
         self.fault_injector: Optional[FaultInjector] = None
-        if fault_plan is not None and not fault_plan.is_trivial:
+        if cfg.loss_rate or cfg.duplicate_rate:
             self.fault_injector = FaultInjector(
-                fault_plan,
-                self.rngs.get("faults"),
-                default_delay_ms=self.config.hop_delay_ms,
+                cfg.loss_rate, cfg.duplicate_rate, self.rngs.get("faults")
             )
         self.network = Network(
             self.sim,
@@ -107,15 +100,11 @@ class StreamIndexSystem:
             liveness=self._node_alive,
         )
         self.ring = ChordRing(m=self.config.m)
-        #: token → physical-node bookkeeping (DESIGN.md §13); at
-        #: virtual_nodes = 1 every physical node has exactly one token
-        #: named after itself, so ids match a build without vnodes.
-        self.vmap = VirtualNodeMap()
+        # DESIGN.md §13: at virtual_nodes = 1 every physical node has
+        # exactly one token named after itself, so ids match a build
+        # without vnodes.
         for i in range(n_nodes):
-            for node in self.ring.create_virtual_nodes(
-                f"dc-{i}", self.config.virtual_nodes
-            ):
-                self.vmap.register(node)
+            self.ring.create_virtual_nodes(f"dc-{i}", self.config.virtual_nodes)
         self.ring.build()
         self.overlay = DhtOverlay(self.ring, self.network)
         self.mapper = mapper if mapper is not None else LinearKeyMapper(self.ring.space)
@@ -152,13 +141,6 @@ class StreamIndexSystem:
             self._start_app_processes(app)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _plan_from_config(cfg: MiddlewareConfig) -> Optional[FaultPlan]:
-        """Build a fault plan from the convenience config knobs."""
-        if not (cfg.loss_rate or cfg.duplicate_rate):
-            return None
-        return FaultPlan(loss_rate=cfg.loss_rate, duplicate_rate=cfg.duplicate_rate)
-
     def _node_alive(self, node_id: int) -> bool:
         """Whether messages arriving at ``node_id`` find a live node."""
         app = self.apps.get(node_id)
@@ -208,13 +190,19 @@ class StreamIndexSystem:
 
         Aggregates :meth:`MessageStats.load_by_node` (a per-token count)
         by physical name — the load distribution the §13 max/mean skew
-        metric and the Zipf-hotkey bench are computed over.
+        metric and the Zipf-hotkey bench are computed over.  Crashed
+        nodes stay in :attr:`apps`, so their load stays visible.
         """
-        return self.vmap.aggregate_by_physical(self.network.stats.load_by_node())
+        per_token = self.network.stats.load_by_node()
+        load: Dict[str, float] = {}
+        for node_id, app in self.apps.items():
+            phys = app.node.physical_name
+            load[phys] = load.get(phys, 0.0) + per_token.get(node_id, 0)
+        return load
 
     def load_skew_ratio(self) -> float:
         """Max/mean per-physical load ratio (1.0 = perfectly even)."""
-        return VirtualNodeMap.max_mean_ratio(self.physical_load())
+        return max_mean_ratio(self.physical_load())
 
     def app(self, index: int) -> NodeRuntime:
         """The middleware app of the ``index``-th data center (ring order).
@@ -270,7 +258,6 @@ class StreamIndexSystem:
         self.stabilizer.join_physical(nodes, bootstrap)
         first: Optional[NodeRuntime] = None
         for node in nodes:
-            self.vmap.register(node)
             app = NodeRuntime(node, self)
             self.apps[node.node_id] = app
             self._app_order.append(app)

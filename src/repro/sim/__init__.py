@@ -4,20 +4,13 @@ This package replaces the MIT Chord simulator the paper linked against:
 a deterministic event engine (:mod:`repro.sim.engine`), periodic process
 helpers (:mod:`repro.sim.process`), a message network with a constant
 per-hop latency and complete message accounting
-(:mod:`repro.sim.network`), and named deterministic RNG substreams
+(:mod:`repro.sim.network`), seeded per-hop loss and duplication
+(:mod:`repro.sim.faults`), and named deterministic RNG substreams
 (:mod:`repro.sim.rng`).
 """
 
 from .engine import EventHandle, SimulationError, Simulator
-from .faults import (
-    ConstantDelay,
-    DelayModel,
-    FaultInjector,
-    FaultPlan,
-    HeavyTailDelay,
-    JitteredDelay,
-    LinkOutage,
-)
+from .faults import FaultInjector
 from .network import DEFAULT_HOP_DELAY_MS, Message, MessageStats, Network
 from .process import PeriodicProcess, StreamClock, Timer
 from .rng import RngRegistry
@@ -34,12 +27,6 @@ __all__ = [
     "StreamClock",
     "Timer",
     "RngRegistry",
-    "DelayModel",
-    "ConstantDelay",
-    "JitteredDelay",
-    "HeavyTailDelay",
-    "LinkOutage",
-    "FaultPlan",
     "FaultInjector",
 ]
 

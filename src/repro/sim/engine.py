@@ -53,8 +53,7 @@ _POOL_LIMIT = 4096
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine.
 
-    Examples include scheduling an event in the past or running a
-    simulator that has already been stopped and drained.
+    Scheduling an event in the past raises it.
     """
 
 
@@ -134,8 +133,6 @@ class Simulator:
         self._seq: int = 0
         self._queue: List[_Entry] = []
         self._pool: List[EventHandle] = []
-        self._running: bool = False
-        self._stopped: bool = False
         self._events_processed: int = 0
 
     # ------------------------------------------------------------------
@@ -271,21 +268,18 @@ class Simulator:
             Safety valve: abort after this many events (useful in tests
             to detect runaway periodic processes).
         """
-        self._stopped = False
-        self._running = True
         processed = 0
         discarded = 0
         try:
             processed, discarded = self._drain(until, max_events)
         finally:
-            self._running = False
             c = _opc.ACTIVE
             if c is not None:
                 if processed:
                     c.inc("sim.events", processed)
                 if discarded:
                     c.inc("sim.cancelled_discarded", discarded)
-        if until is not None and not self._stopped and self._now < until:
+        if until is not None and self._now < until:
             self._now = until
 
     def _drain(
@@ -298,7 +292,7 @@ class Simulator:
         pop = heapq.heappop
         pool = self._pool
         refcount = sys.getrefcount
-        while queue and not self._stopped:
+        while queue:
             time = queue[0][0]
             if until is not None and time > until:
                 break
@@ -362,7 +356,3 @@ class Simulator:
                 c.inc("sim.events")
             return True
         return False
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to exit after this event."""
-        self._stopped = True

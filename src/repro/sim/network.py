@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..perf import counters as _opc
 from .engine import Simulator
-from .faults import DROP_DEAD_DEST, FaultInjector
+from .faults import DROP_DEAD_DEST, DROP_LOSS, FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tracing import MessageTracer
@@ -137,8 +137,8 @@ class MessageStats:
         self.latency_by_kind: Dict[str, list] = {}
         #: number of originated input events per kind
         self.originations: Counter[str] = Counter()
-        #: messages dropped in flight, per (kind, reason) — loss, outage,
-        #: dead destination, …
+        #: messages dropped in flight, per (kind, reason): ``loss`` or
+        #: ``dead_dest``
         self.drops_per_kind: Counter[Tuple[str, str]] = Counter()
         #: injected duplicate copies per kind
         self.duplicates_by_kind: Counter[str] = Counter()
@@ -335,9 +335,9 @@ class Network:
     Without an ``injector`` every hop takes the constant
     ``hop_delay_ms`` and arrives exactly once — the seed (and paper)
     behaviour.  With a :class:`~repro.sim.faults.FaultInjector`
-    attached, each hop may be dropped, jittered, or duplicated according
-    to the injector's :class:`~repro.sim.faults.FaultPlan`, with every
-    injected event accounted in :class:`MessageStats`.
+    attached, each hop may be dropped or duplicated, with every
+    injected event accounted in :class:`MessageStats`; every copy that
+    survives still takes ``hop_delay_ms``.
     """
 
     def __init__(
@@ -384,9 +384,9 @@ class Network:
         destination after the hop delay — unless the fault injector
         drops the hop or the destination died in flight, in which case
         the loss is recorded under ``drops_per_kind`` and the handler
-        never runs.  An injected duplicate schedules a second,
-        independently delayed arrival carrying a field-identical copy of
-        the message.
+        never runs.  An injected duplicate schedules a second arrival,
+        after the same delay, carrying a field-identical copy of the
+        message.
 
         ``cb_args`` lets hot callers pass a bound method plus its
         leading arguments instead of allocating a per-hop closure (the
@@ -400,22 +400,17 @@ class Network:
         if c is not None:
             c.inc("net.hops")
 
-        if self.injector is not None:
-            verdict = self.injector.judge(src, dst, msg.kind, self.sim.now)
-            if verdict.dropped:
-                self.stats.record_drop(msg.kind, verdict.drop_reason)
-                if c is not None:
-                    c.inc("net.drops")
-                return
-            delay = verdict.delay_ms
-            dup_delay = verdict.duplicate_delay_ms
-        else:
-            delay = self.hop_delay_ms
-            dup_delay = None
+        copies = 1 if self.injector is None else self.injector.judge()
+        if not copies:
+            self.stats.record_drop(msg.kind, DROP_LOSS)
+            if c is not None:
+                c.inc("net.drops")
+            return
 
+        delay = self.hop_delay_ms
         self.in_flight += 1
         self.sim.schedule(delay, self._arrive, dst, on_arrival, cb_args, msg)
-        if dup_delay is not None:
+        if copies == 2:
             # The copy keeps msg_id/root_id (it *is* the same logical
             # message) but routes independently from here on.
             self.stats.record_duplicate(msg.kind)
@@ -423,7 +418,7 @@ class Network:
                 c.inc("net.duplicates")
             self.in_flight += 1
             self.sim.schedule(
-                dup_delay, self._arrive, dst, on_arrival, cb_args, replace(msg)
+                delay, self._arrive, dst, on_arrival, cb_args, replace(msg)
             )
 
     def _arrive(

@@ -13,12 +13,13 @@ burst the ring must reconverge, and the full invariant sweep
 arc coverage) must come back clean.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.analysis import check_physical_ownership, check_ring
 from repro.chord import ChordRing, Stabilizer
-from repro.chord.vnodes import VirtualNodeMap
 from repro.sim import Simulator
 
 pytestmark = pytest.mark.slow
@@ -34,17 +35,15 @@ CHURN_BATCH = 8  # physical nodes failed, and joined, per round
 def build_scale_ring():
     sim = Simulator()
     ring = ChordRing(m=M_BITS)
-    vmap = VirtualNodeMap()
     for i in range(N_PHYSICAL):
-        for token in ring.create_virtual_nodes(f"dc-{i}", VNODES):
-            vmap.register(token)
+        ring.create_virtual_nodes(f"dc-{i}", VNODES)
     ring.build()
     stab = Stabilizer(sim, ring, cohorts=COHORTS)
     stab.bootstrap_ring(list(ring))
-    return sim, ring, vmap, stab
+    return sim, ring, stab
 
 
-def fresh_physical(ring, vmap, name):
+def fresh_physical(ring, name):
     """Tokens for a not-yet-joined physical node, created then detached.
 
     ``create_virtual_nodes`` registers tokens as ring members outright
@@ -57,12 +56,11 @@ def fresh_physical(ring, vmap, name):
     tokens = ring.create_virtual_nodes(name, VNODES)
     for token in tokens:
         ring.remove(token)
-        vmap.register(token)
     return tokens
 
 
 def test_scale_churn_reconverges_with_clean_invariants():
-    sim, ring, vmap, stab = build_scale_ring()
+    sim, ring, stab = build_scale_ring()
     rng = np.random.default_rng(7)
     live = [f"dc-{i}" for i in range(N_PHYSICAL)]
     joined = 0
@@ -72,15 +70,13 @@ def test_scale_churn_reconverges_with_clean_invariants():
         victims = rng.choice(len(live), size=CHURN_BATCH, replace=False)
         for idx in sorted(victims, reverse=True):
             name = live.pop(idx)
-            tokens = [ring.node(t) for t in vmap.tokens_of(name)]
-            stab.fail_physical(tokens)
-            vmap.forget_physical(name)
+            stab.fail_physical([t for t in ring if t.physical_name == name])
         # fresh joins, all through one surviving bootstrap
         bootstrap = ring.node(ring.node_ids[0])
         for _ in range(CHURN_BATCH):
             name = f"late-{joined}"
             joined += 1
-            stab.join_physical(fresh_physical(ring, vmap, name), bootstrap)
+            stab.join_physical(fresh_physical(ring, name), bootstrap)
             live.append(name)
         stab.stabilize_until_converged(max_rounds=400)
 
@@ -98,14 +94,11 @@ def test_scale_churn_reconverges_with_clean_invariants():
     ownership = check_physical_ownership(ring)
     assert ownership.ok, ownership.summary()
 
-    # the vnode map survived the churn: every live physical still owns
-    # exactly VNODES tokens, and every token maps back to its owner
-    for name in live:
-        tokens = vmap.tokens_of(name)
-        assert len(tokens) == VNODES
-        for token_id in tokens:
-            assert vmap.physical_of(token_id) == name
-            assert ring.node(token_id).alive
+    # every live physical still owns exactly VNODES tokens, and no
+    # crashed physical left a token behind
+    tokens = Counter(token.physical_name for token in ring)
+    assert tokens == {name: VNODES for name in live}
+    assert all(token.alive for token in ring)
 
 
 def test_scale_churn_cohort_mode_matches_per_node_mode():

@@ -1,4 +1,4 @@
-"""Virtual nodes (DESIGN.md §13): naming, bookkeeping, per-physical ownership."""
+"""Virtual nodes (DESIGN.md §13): naming, per-physical load and ownership."""
 
 from collections import Counter
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.invariants import check_physical_ownership
 from repro.chord import ChordRing
-from repro.chord.vnodes import VirtualNodeMap, vnode_names
+from repro.chord.vnodes import max_mean_ratio, vnode_names
 from repro.core import MiddlewareConfig, StreamIndexSystem, WorkloadConfig
 
 
@@ -51,57 +51,13 @@ def test_vnode_names_rejects_nonpositive_v():
 
 
 # ----------------------------------------------------------------------
-# VirtualNodeMap bookkeeping
+# the skew metric
 # ----------------------------------------------------------------------
-def test_vmap_register_and_aggregate():
-    ring = ChordRing(m=16)
-    vmap = VirtualNodeMap()
-    for i in range(3):
-        for node in ring.create_virtual_nodes(f"dc-{i}", 2):
-            vmap.register(node)
-    assert len(vmap) == 3
-    assert "dc-1" in vmap
-    tokens = vmap.tokens_of("dc-1")
-    assert len(tokens) == 2
-    per_token = {tokens[0]: 3.0, tokens[1]: 4.0}
-    agg = vmap.aggregate_by_physical(per_token)
-    assert agg["dc-1"] == 7.0
-    assert agg["dc-0"] == 0.0  # tokens absent from per_token contribute 0
-
-
-def test_vmap_register_is_idempotent():
-    ring = ChordRing(m=16)
-    vmap = VirtualNodeMap()
-    (node,) = ring.create_virtual_nodes("dc-0", 1)
-    vmap.register(node)
-    vmap.register(node)
-    assert vmap.tokens_of("dc-0") == [node.node_id]
-
-
-def test_vmap_keeps_unregistered_load_visible():
-    vmap = VirtualNodeMap()
-    agg = vmap.aggregate_by_physical({42: 5.0})
-    assert agg == {"N42": 5.0}  # never silently dropped
-
-
-def test_vmap_forget_physical_releases_tokens():
-    ring = ChordRing(m=16)
-    vmap = VirtualNodeMap()
-    nodes = ring.create_virtual_nodes("dc-0", 3)
-    for node in nodes:
-        vmap.register(node)
-    ids = vmap.forget_physical("dc-0")
-    assert sorted(ids) == sorted(n.node_id for n in nodes)
-    assert "dc-0" not in vmap
-    for node in nodes:
-        assert vmap.physical_of(node.node_id) is None
-
-
 def test_max_mean_ratio_edge_cases():
-    assert VirtualNodeMap.max_mean_ratio({}) == 0.0
-    assert VirtualNodeMap.max_mean_ratio({"a": 0.0, "b": 0.0}) == 0.0
-    assert VirtualNodeMap.max_mean_ratio({"a": 2.0, "b": 2.0}) == 1.0
-    assert VirtualNodeMap.max_mean_ratio({"a": 3.0, "b": 1.0}) == 1.5
+    assert max_mean_ratio({}) == 0.0
+    assert max_mean_ratio({"a": 0.0, "b": 0.0}) == 0.0
+    assert max_mean_ratio({"a": 2.0, "b": 2.0}) == 1.0
+    assert max_mean_ratio({"a": 3.0, "b": 1.0}) == 1.5
 
 
 # ----------------------------------------------------------------------
@@ -110,30 +66,26 @@ def test_max_mean_ratio_edge_cases():
 @pytest.mark.parametrize("v", [1, 2, 16])
 def test_physical_ownership_partitions_circle(v):
     ring = ChordRing(m=16)
-    vmap = VirtualNodeMap()
     n_physical = 8
     for i in range(n_physical):
-        for node in ring.create_virtual_nodes(f"dc-{i}", v):
-            vmap.register(node)
+        ring.create_virtual_nodes(f"dc-{i}", v)
     ring.build()
 
     assert len(ring) == n_physical * v
-    for i in range(n_physical):
-        assert len(vmap.tokens_of(f"dc-{i}")) == v
+    tokens = Counter(node.physical_name for node in ring)
+    assert tokens == {f"dc-{i}": v for i in range(n_physical)}
 
     report = check_physical_ownership(ring)
     assert report.violations == []
     assert report.checks_run > 0
 
-    # spot-check: every key's successor token maps back to a registered
-    # physical node, and per-physical arc widths sum to the circle
+    # spot-check: per-physical arc widths sum to the circle
     ids = ring.node_ids
     size = ring.space.size
     widths = {}
     for idx, node_id in enumerate(ids):
         pred = ids[(idx - 1) % len(ids)]
-        phys = vmap.physical_of(node_id)
-        assert phys is not None
+        phys = ring.node(node_id).physical_name
         widths[phys] = widths.get(phys, 0) + ((node_id - pred) % size or size)
     assert sum(widths.values()) == size
     assert all(w > 0 for w in widths.values())
@@ -147,6 +99,25 @@ def test_system_exposes_physical_aggregation(v):
     load = system.physical_load()
     assert len(load) == 6
     assert set(load) == {f"dc-{i}" for i in range(6)}
+
+
+def test_crashed_physical_load_stays_in_physical_load():
+    system = StreamIndexSystem(
+        5, cfg(virtual_nodes=2), seed=92, with_stabilizer=True
+    )
+    for i, app in enumerate(system.all_apps):
+        system.attach_stream(app, f"s{i}", lambda: 1.0)
+    system.run(2_000.0)
+    victim = system.app(0)
+    phys = victim.node.physical_name
+    before = system.physical_load()[phys]
+    assert before > 0
+    system.fail_node(victim)
+    system.run(2_000.0)
+    load = system.physical_load()
+    assert set(load) == {f"dc-{i}" for i in range(5)}
+    assert load[phys] >= before  # the crashed node's load is still counted
+    assert sum(load.values()) == sum(system.network.stats.load_by_node().values())
 
 
 # ----------------------------------------------------------------------
@@ -177,14 +148,7 @@ def test_churn_fuzz_preserves_physical_invariants():
             assert count == 2, f"{phys} lost a token independently"
         # the union of per-physical arcs still partitions the circle
         report = check_physical_ownership(system.ring)
-        live_violations = [
-            viol
-            for viol in report.violations
-            # physical nodes crashed on purpose legitimately have no
-            # live tokens left in the vmap-backed report
-            if "no live tokens" not in viol.message
-        ]
-        assert live_violations == []
+        assert report.violations == []
 
 
 def test_physical_crash_takes_all_tokens_down_atomically():
@@ -193,7 +157,7 @@ def test_physical_crash_takes_all_tokens_down_atomically():
     )
     victim = system.app(0)
     phys = victim.node.physical_name
-    tokens = system.vmap.tokens_of(phys)
+    tokens = [a.node_id for a in system.all_apps if a.node.physical_name == phys]
     assert len(tokens) == 3
     system.fail_node(victim)
     system.stabilizer.stabilize_until_converged()

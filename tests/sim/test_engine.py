@@ -108,16 +108,6 @@ def test_events_scheduled_during_run_are_processed():
     assert fired == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_stop_halts_run():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-    sim.schedule(2.0, lambda: fired.append(2))
-    sim.run()
-    assert fired == [(1, None)] or len(fired) == 1
-    assert sim.pending_events == 1
-
-
 def test_max_events_limits_processing():
     sim = Simulator()
     count = []

@@ -1,26 +1,9 @@
 """Unit tests for the deterministic fault-injection layer."""
 
-import numpy as np
 import pytest
 
-from repro.sim import (
-    ConstantDelay,
-    FaultInjector,
-    FaultPlan,
-    HeavyTailDelay,
-    JitteredDelay,
-    LinkOutage,
-    Message,
-    Network,
-    RngRegistry,
-    Simulator,
-)
-from repro.sim.faults import (
-    DROP_DEAD_DEST,
-    DROP_LINK_LOSS,
-    DROP_LOSS,
-    DROP_OUTAGE,
-)
+from repro.sim import FaultInjector, Message, Network, RngRegistry, Simulator
+from repro.sim.faults import DROP_DEAD_DEST, DROP_LOSS
 
 
 def rng(seed=0):
@@ -28,143 +11,46 @@ def rng(seed=0):
 
 
 # ----------------------------------------------------------------------
-# delay models
-# ----------------------------------------------------------------------
-def test_constant_delay_is_constant():
-    model = ConstantDelay(25.0)
-    r = rng()
-    assert [model.sample(r) for _ in range(5)] == [25.0] * 5
-
-
-def test_constant_delay_rejects_negative():
-    with pytest.raises(ValueError):
-        ConstantDelay(-1.0)
-
-
-def test_jittered_delay_bounds():
-    model = JitteredDelay(base_ms=50.0, jitter_ms=10.0)
-    r = rng()
-    samples = [model.sample(r) for _ in range(500)]
-    assert all(40.0 <= s <= 60.0 for s in samples)
-    assert np.std(samples) > 0.0  # actually jittered
-
-
-def test_jittered_delay_clamped_at_zero():
-    model = JitteredDelay(base_ms=1.0, jitter_ms=100.0)
-    r = rng()
-    assert all(model.sample(r) >= 0.0 for _ in range(500))
-
-
-def test_heavy_tail_delay_bounded_by_cap():
-    model = HeavyTailDelay(base_ms=50.0, alpha=0.5, scale_ms=100.0, cap_ms=500.0)
-    r = rng()
-    samples = [model.sample(r) for _ in range(500)]
-    assert all(50.0 <= s <= 550.0 for s in samples)
-    assert max(samples) > 100.0  # the tail exists
-
-
-def test_delay_model_validation():
-    with pytest.raises(ValueError):
-        JitteredDelay(base_ms=-1.0)
-    with pytest.raises(ValueError):
-        HeavyTailDelay(alpha=0.0)
-    with pytest.raises(ValueError):
-        HeavyTailDelay(scale_ms=-1.0)
-
-
-# ----------------------------------------------------------------------
-# outages and plans
-# ----------------------------------------------------------------------
-def test_outage_covers_window_and_endpoints():
-    o = LinkOutage(start_ms=100.0, end_ms=200.0, src=1, dst=2)
-    assert o.covers(150.0, 1, 2)
-    assert not o.covers(99.9, 1, 2)
-    assert not o.covers(200.0, 1, 2)  # end-exclusive
-    assert not o.covers(150.0, 1, 3)
-    assert not o.covers(150.0, 9, 2)
-
-
-def test_outage_wildcards():
-    blackout = LinkOutage(start_ms=0.0, end_ms=10.0)
-    assert blackout.covers(5.0, 7, 8)
-    inbound = LinkOutage(start_ms=0.0, end_ms=10.0, dst=3)
-    assert inbound.covers(5.0, 1, 3)
-    assert not inbound.covers(5.0, 3, 1)
-
-
-def test_outage_rejects_empty_window():
-    with pytest.raises(ValueError):
-        LinkOutage(start_ms=10.0, end_ms=10.0)
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        FaultPlan(loss_rate=1.0)
-    with pytest.raises(ValueError):
-        FaultPlan(duplicate_rate=-0.1)
-    with pytest.raises(ValueError):
-        FaultPlan(link_loss={(1, 2): 1.5})
-
-
-def test_plan_triviality():
-    assert FaultPlan().is_trivial
-    assert not FaultPlan(loss_rate=0.1).is_trivial
-    assert not FaultPlan(delay_model=ConstantDelay(50.0)).is_trivial
-    assert not FaultPlan(outages=[LinkOutage(0.0, 1.0)]).is_trivial
-
-
-# ----------------------------------------------------------------------
 # the injector
 # ----------------------------------------------------------------------
-def test_judge_outage_takes_priority():
-    plan = FaultPlan(loss_rate=0.5, outages=[LinkOutage(0.0, 100.0, src=1, dst=2)])
-    inj = FaultInjector(plan, rng())
-    v = inj.judge(1, 2, "mbr", 50.0)
-    assert v.dropped and v.drop_reason == DROP_OUTAGE
-    assert inj.injected[("mbr", DROP_OUTAGE)] == 1
-
-
-def test_judge_link_loss_before_global():
-    plan = FaultPlan(loss_rate=0.0, link_loss={(1, 2): 1.0})
-    inj = FaultInjector(plan, rng())
-    assert inj.judge(1, 2, "q", 0.0).drop_reason == DROP_LINK_LOSS
-    assert not inj.judge(2, 1, "q", 0.0).dropped  # other direction clean
+def test_injector_validation():
+    with pytest.raises(ValueError):
+        FaultInjector(1.0, 0.0, rng())
+    with pytest.raises(ValueError):
+        FaultInjector(0.0, -0.1, rng())
 
 
 def test_judge_global_loss_statistics():
-    plan = FaultPlan(loss_rate=0.3)
-    inj = FaultInjector(plan, rng())
-    dropped = sum(inj.judge(0, 1, "m", 0.0).dropped for _ in range(2000))
+    inj = FaultInjector(0.3, 0.0, rng())
+    dropped = sum(inj.judge() == 0 for _ in range(2000))
     assert 450 <= dropped <= 750  # ~600 expected
-    assert inj.injected[("m", DROP_LOSS)] == dropped
 
 
 def test_judge_duplicates_surviving_hops():
-    plan = FaultPlan(duplicate_rate=0.5)
-    inj = FaultInjector(plan, rng())
-    verdicts = [inj.judge(0, 1, "m", 0.0) for _ in range(400)]
-    dups = [v for v in verdicts if v.duplicate_delay_ms is not None]
-    assert not any(v.dropped for v in verdicts)
-    assert 120 <= len(dups) <= 280
-    assert all(d.duplicate_delay_ms >= 0.0 for d in dups)
+    inj = FaultInjector(0.0, 0.5, rng())
+    copies = [inj.judge() for _ in range(400)]
+    assert 0 not in copies
+    assert 120 <= copies.count(2) <= 280
 
 
 def test_judge_deterministic_under_same_seed():
-    plan = FaultPlan(loss_rate=0.2, duplicate_rate=0.1,
-                     delay_model=JitteredDelay(50.0, 20.0))
-    a = FaultInjector(plan, rng(7))
-    b = FaultInjector(plan, rng(7))
-    va = [(v.drop_reason, v.delay_ms, v.duplicate_delay_ms)
-          for v in (a.judge(0, 1, "m", 0.0) for _ in range(300))]
-    vb = [(v.drop_reason, v.delay_ms, v.duplicate_delay_ms)
-          for v in (b.judge(0, 1, "m", 0.0) for _ in range(300))]
-    assert va == vb
-    assert a.injected == b.injected
+    a = FaultInjector(0.2, 0.1, rng(7))
+    b = FaultInjector(0.2, 0.1, rng(7))
+    va = [a.judge() for _ in range(300)]
+    assert va == [b.judge() for _ in range(300)]
+    assert {0, 1, 2} <= set(va)
 
 
-def test_default_delay_used_without_model():
-    inj = FaultInjector(FaultPlan(), rng(), default_delay_ms=12.0)
-    assert inj.judge(0, 1, "m", 0.0).delay_ms == 12.0
+def test_judge_draw_order():
+    # one draw for loss, then (for a survivor) one for duplication
+    loss, dup = 0.2, 0.3
+    inj = FaultInjector(loss, dup, rng(5))
+    ref = rng(5)
+    for _ in range(200):
+        expect = 0
+        if ref.random() >= loss:
+            expect = 2 if ref.random() < dup else 1
+        assert inj.judge() == expect
 
 
 # ----------------------------------------------------------------------
@@ -172,24 +58,22 @@ def test_default_delay_used_without_model():
 # ----------------------------------------------------------------------
 def test_network_counts_injected_drops():
     sim = Simulator()
-    plan = FaultPlan(link_loss={(1, 2): 1.0})
-    net = Network(sim, injector=FaultInjector(plan, rng()))
+    net = Network(sim, injector=FaultInjector(0.999, 0.0, rng()))
     got = []
     msg = Message(kind="mbr", payload=None, origin=1, dest_key=0)
     net.hop(1, 2, msg, got.append)
     sim.run()
     assert got == []
-    assert net.stats.drops_per_kind[("mbr", DROP_LINK_LOSS)] == 1
+    assert net.stats.drops_per_kind[("mbr", DROP_LOSS)] == 1
     assert net.stats.total_drops() == 1
-    assert net.stats.drops_by_reason() == {DROP_LINK_LOSS: 1}
+    assert net.stats.drops_by_reason() == {DROP_LOSS: 1}
     # the send still happened; the loss was in flight
     assert net.stats.sends_by_kind["mbr"] == 1
 
 
 def test_network_delivers_duplicate_copies():
     sim = Simulator()
-    plan = FaultPlan(duplicate_rate=0.999)
-    net = Network(sim, injector=FaultInjector(plan, rng()))
+    net = Network(sim, injector=FaultInjector(0.0, 0.999, rng()))
     got = []
     msg = Message(kind="q", payload="p", origin=0, dest_key=0)
     net.hop(0, 1, msg, got.append)
@@ -198,6 +82,29 @@ def test_network_delivers_duplicate_copies():
     assert got[0] is not got[1]  # independent copies
     assert all(m.payload == "p" for m in got)
     assert net.stats.duplicates_by_kind["q"] == 1
+
+
+def test_constant_delay_is_constant():
+    # primary and duplicate copies both take exactly the hop delay
+    sim = Simulator()
+    net = Network(sim, hop_delay_ms=25.0, injector=FaultInjector(0.0, 0.999, rng()))
+    arrivals = []
+    for i in range(5):
+        msg = Message(kind="m", payload=i, origin=0, dest_key=0)
+        net.hop(0, 1, msg, lambda m: arrivals.append(sim.now))
+    sim.run()
+    assert arrivals == [25.0] * 10
+
+
+def test_default_delay_used_without_model():
+    sim = Simulator()
+    net = Network(sim, hop_delay_ms=12.0, injector=FaultInjector(0.5, 0.5, rng()))
+    arrivals = []
+    for i in range(50):
+        msg = Message(kind="m", payload=i, origin=0, dest_key=0)
+        net.hop(0, 1, msg, lambda m: arrivals.append(sim.now))
+    sim.run()
+    assert arrivals and set(arrivals) == {12.0}
 
 
 def test_network_drops_at_dead_destination():
@@ -215,9 +122,7 @@ def test_network_drops_at_dead_destination():
 def test_network_faulty_runs_reproducible():
     def run(seed):
         sim = Simulator()
-        plan = FaultPlan(loss_rate=0.2, duplicate_rate=0.2,
-                         delay_model=JitteredDelay(50.0, 25.0))
-        net = Network(sim, injector=FaultInjector(plan, RngRegistry(seed).get("f")))
+        net = Network(sim, injector=FaultInjector(0.2, 0.2, RngRegistry(seed).get("f")))
         arrivals = []
         for i in range(60):
             msg = Message(kind="m", payload=i, origin=0, dest_key=0)
