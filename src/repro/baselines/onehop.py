@@ -2,10 +2,10 @@
 
 Neither strawman of Sec. IV-A needs an overlay — a deployment that
 ships everything to one center, or asks every node, knows all its
-nodes.  :class:`OneHopTransport` keeps the simulated network, its fault
-injector and its accounting, and replaces multi-hop Chord routing by
-one :meth:`~repro.net.transport.SimTransport.send_direct` to the key's
-owner.  That, if anything, flatters the strawmen: the comparison is
+nodes.  :class:`OneHopTransport` is the simulator's
+:class:`~repro.chord.dht.DhtOverlay` with its network, fault injector
+and accounting, but it replaces multi-hop Chord routing by one
+:meth:`~repro.chord.dht.DhtOverlay.send_direct` to the key's owner.  That, if anything, flatters the strawmen: the comparison is
 about where load lands and how many messages an event costs, not
 routing stretch.
 """
@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..chord.dht import DhtOverlay
 from ..chord.node import ChordNode
 from ..core.protocol import KIND
-from ..net.transport import DeliveredFn, SimTransport
+from ..net.transport import DeliveredFn
 from ..sim.network import Message
 
 __all__ = ["OneHopTransport"]
@@ -25,7 +26,7 @@ __all__ = ["OneHopTransport"]
 _SPAN_KIND = {KIND.MBR: KIND.MBR_SPAN, KIND.QUERY: KIND.QUERY_SPAN}
 
 
-class OneHopTransport(SimTransport):
+class OneHopTransport(DhtOverlay):
     """Full membership: routing and range multicast take one hop each."""
 
     def route(
@@ -37,7 +38,7 @@ class OneHopTransport(SimTransport):
         on_delivered: Optional[DeliveredFn] = None,
     ) -> None:
         """Send ``msg`` straight to the owner of its key."""
-        owner = self._overlay.ring.successor_of_key(msg.dest_key)
+        owner = self.ring.successor_of_key(msg.dest_key)
         self.send_direct(node, owner, msg, on_delivered=on_delivered)
 
     def disseminate(
@@ -59,15 +60,14 @@ class OneHopTransport(SimTransport):
         order, and one to ``node`` itself is delivered locally, without
         a message.
         """
-        ring = self._overlay.ring
-        entry = ring.successor_of_key(self._multicast.entry_key(low_key, high_key))
+        entry = self.ring.successor_of_key(self.multicast.entry_key(low_key, high_key))
         msg = Message(kind=kind, payload=payload, origin=node.node_id, dest_key=entry.node_id)
         span_kind = _SPAN_KIND[kind]
         # every copy is derived before any leaves: a send counts its hop
         # on the message it carries, and a copy inherits the hop count
         copies = [
             (target, msg if target is entry else msg.derive(span_kind, dest_key=target.node_id))
-            for target in ring.nodes_covering_range(low_key, high_key)
+            for target in self.ring.nodes_covering_range(low_key, high_key)
         ]
         for target, copy in copies:
             self.send_direct(node, target, copy, on_delivered=on_delivered)

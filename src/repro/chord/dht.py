@@ -7,6 +7,10 @@ and *leave* change membership.  :class:`DhtOverlay` implements that
 interface on top of the simulated network, taking the same greedy hops
 as :mod:`repro.chord.routing` but paying the per-hop latency and
 recording every transmission in :class:`repro.sim.network.MessageStats`.
+It is also the simulator's whole :class:`~repro.net.transport.Transport`:
+the clock and timers of the network's simulator, the network's live
+stats and tracer, and range multicast over its own
+:class:`~repro.core.multicast.RangeMulticast` (DESIGN.md §12).
 
 Accounting convention (matches the paper's figure components):
 
@@ -21,9 +25,10 @@ Accounting convention (matches the paper's figure components):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol
+from typing import Any, Callable, Dict, Optional, Protocol
 
-from ..sim.network import Message, Network
+from ..core.multicast import RangeMulticast
+from ..sim.network import Message, MessageStats, Network
 from .node import ChordNode
 from .ring import ChordRing
 from .routing import next_hop
@@ -44,14 +49,37 @@ class DhtOverlay:
 
     One overlay instance serves all nodes; per-node state lives in the
     :class:`~repro.chord.node.ChordNode` objects and in the registered
-    applications.
+    applications.  ``strategy`` is the range-multicast strategy
+    (``MiddlewareConfig.multicast``).
     """
 
-    def __init__(self, ring: ChordRing, network: Network) -> None:
+    def __init__(
+        self, ring: ChordRing, network: Network, strategy: str = "sequential"
+    ) -> None:
         self.ring = ring
         self.network = network
+        self.multicast = RangeMulticast(self, strategy)
         #: bounded: one entry per registered app, i.e. per live node
         self._apps: Dict[int, DhtApp] = {}
+
+    # ------------------------------------------------------------------
+    # clock and observability (live views: ``reset_stats`` swaps the
+    # network's stats object mid-run)
+    # ------------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        return self.network.sim.now
+
+    def schedule(self, delay_ms: float, fn: Callable[..., None], *args: Any):
+        return self.network.sim.schedule(delay_ms, fn, *args)
+
+    @property
+    def stats(self) -> MessageStats:
+        return self.network.stats
+
+    @property
+    def tracer(self) -> Optional[Any]:
+        return self.network.tracer
 
     # ------------------------------------------------------------------
     # application registration
@@ -164,6 +192,14 @@ class DhtOverlay:
         """Arrival continuation of :meth:`send_direct` (closure-free)."""
         if dst.alive:
             self._deliver(dst, m, base_kind, on_delivered)
+
+    def disseminate(self, src: ChordNode, payload: Any, **kw: Any) -> Message:
+        """Start a range multicast (:meth:`RangeMulticast.disseminate`)."""
+        return self.multicast.disseminate(src, payload, **kw)
+
+    def continue_span(self, node: ChordNode, msg: Message, **kw: Any) -> int:
+        """Keep a range multicast spreading (:meth:`RangeMulticast.continue_span`)."""
+        return self.multicast.continue_span(node, msg, **kw)
 
     def send_to_successor(self, node: ChordNode, msg: Message, **kw) -> bool:
         """Forward ``msg`` one hop along the ring; ``False`` if no successor."""

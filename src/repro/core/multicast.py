@@ -21,9 +21,11 @@ the middleware calls :meth:`RangeMulticast.continue_span` from its
 
 The fabric a multicast walks needs only ``ring``, ``route`` (to the
 entry key) and ``send_direct`` (one hop to a successor or predecessor
-the walk has already looked up): the simulator's
-:class:`~repro.chord.dht.DhtOverlay` and a socket peer's
-:class:`~repro.net.peer.AsyncioTransport` both provide them.
+the walk has already looked up).  Each fabric owns its multicast and
+hands it its ``disseminate`` and ``continue_span`` calls: the
+simulator's :class:`~repro.chord.dht.DhtOverlay` and a socket peer's
+:class:`~repro.net.peer.AsyncioTransport`.  The strawmen's one-hop
+fabric uses only :meth:`RangeMulticast.entry_key`.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ def middle_key(low_key: int, high_key: int, modulus: int) -> int:
 class RangeMulticast:
     """Delivers a message to every node covering a circular key range."""
 
-    def __init__(self, overlay, strategy: str = "sequential") -> None:
+    def __init__(self, fabric, strategy: str = "sequential") -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
-        self.overlay = overlay
+        self.fabric = fabric
         self.strategy = strategy
 
     # ------------------------------------------------------------------
@@ -58,7 +60,7 @@ class RangeMulticast:
         """Where the initial overlay-routed message is sent."""
         if self.strategy == "sequential":
             return low_key
-        return middle_key(low_key, high_key, self.overlay.ring.space.size)
+        return middle_key(low_key, high_key, self.fabric.ring.space.size)
 
     def disseminate(
         self,
@@ -83,7 +85,7 @@ class RangeMulticast:
             origin=src.node_id,
             dest_key=self.entry_key(low_key, high_key),
         )
-        self.overlay.route(src, msg, transit_kind=transit_kind, on_delivered=on_delivered)
+        self.fabric.route(src, msg, transit_kind=transit_kind, on_delivered=on_delivered)
         return msg
 
     def continue_span(
@@ -142,7 +144,7 @@ class RangeMulticast:
             return False
         if (succ.node_id - low_key) % size <= walked:
             return False  # would wrap past the start of the walk
-        self.overlay.send_direct(node, succ, msg.derive(span_kind, tag="up"))
+        self.fabric.send_direct(node, succ, msg.derive(span_kind, tag="up"))
         return True
 
     def _forward_down(
@@ -156,5 +158,5 @@ class RangeMulticast:
         pred = node.predecessor
         if pred is None or not pred.alive:
             return False
-        self.overlay.send_direct(node, pred, copy)
+        self.fabric.send_direct(node, pred, copy)
         return True

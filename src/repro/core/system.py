@@ -26,7 +26,6 @@ from ..chord.dht import DhtOverlay
 from ..chord.ring import ChordRing
 from ..chord.stabilize import Stabilizer
 from ..chord.vnodes import max_mean_ratio, vnode_names
-from ..net.transport import SimTransport
 from ..sim.engine import Simulator
 from ..sim.faults import FaultInjector
 from ..sim.network import MessageStats, Network
@@ -36,7 +35,6 @@ from ..streams.generators import RandomWalkGenerator
 from .config import MiddlewareConfig
 from .mapping import LinearKeyMapper
 from .metrics import FigureMetrics
-from .multicast import RangeMulticast
 from .placement import ContentPlacement
 from .runtime import NodeRuntime
 
@@ -70,7 +68,7 @@ class StreamIndexSystem:
     #: where MBRs and subscriptions are held (``system.placement``)
     placement_class = ContentPlacement
     #: the fabric the runtimes send through (``system.transport``)
-    transport_class = SimTransport
+    transport_class = DhtOverlay
 
     def __init__(
         self,
@@ -106,18 +104,11 @@ class StreamIndexSystem:
         for i in range(n_nodes):
             self.ring.create_virtual_nodes(f"dc-{i}", self.config.virtual_nodes)
         self.ring.build()
-        self.overlay = DhtOverlay(self.ring, self.network)
-        self.mapper = mapper if mapper is not None else LinearKeyMapper(self.ring.space)
-        self.placement = self.placement_class(self)
-        self.multicast = RangeMulticast(self.overlay, self.config.multicast)
         #: the Transport seam: dispatch/reliability/roles send and read
         #: the clock through this, never through Network directly
-        self.transport = self.transport_class(
-            sim=self.sim,
-            network=self.network,
-            overlay=self.overlay,
-            multicast=self.multicast,
-        )
+        self.transport = self.transport_class(self.ring, self.network, cfg.multicast)
+        self.mapper = mapper if mapper is not None else LinearKeyMapper(self.ring.space)
+        self.placement = self.placement_class(self)
         self.stabilizer: Optional[Stabilizer] = None
         if with_stabilizer:
             self.stabilizer = Stabilizer(self.sim, self.ring)
@@ -137,7 +128,7 @@ class StreamIndexSystem:
             app = NodeRuntime(node, self)
             self.apps[node.node_id] = app
             self._app_order.append(app)
-            self.overlay.register_app(node, app)
+            self.transport.register_app(node, app)
             self._start_app_processes(app)
 
     # ------------------------------------------------------------------
@@ -261,7 +252,7 @@ class StreamIndexSystem:
             app = NodeRuntime(node, self)
             self.apps[node.node_id] = app
             self._app_order.append(app)
-            self.overlay.register_app(node, app)
+            self.transport.register_app(node, app)
             self._start_app_processes(app)
             if first is None:
                 first = app
@@ -288,7 +279,7 @@ class StreamIndexSystem:
             group = [app]
         self.stabilizer.fail_physical([a.node for a in group])
         for a in group:
-            self.overlay.unregister_app(a.node)
+            self.transport.unregister_app(a.node)
             a.reliable.cancel_all()
             for src in a.sources.values():
                 if src.clock is not None:

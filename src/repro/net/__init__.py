@@ -6,9 +6,11 @@ never touch a concrete fabric directly; they speak to the
 :class:`~repro.net.transport.Transport` surface defined here.  Two
 implementations exist:
 
-* :class:`~repro.net.transport.SimTransport` — adapts the discrete-event
-  :class:`~repro.sim.network.Network` + :class:`~repro.sim.engine.Simulator`
-  pair; fully deterministic, used by every experiment and test.
+* :class:`~repro.chord.dht.DhtOverlay` — Chord routing over the
+  discrete-event :class:`~repro.sim.network.Network`; fully
+  deterministic, used by every experiment and test (the Sec. IV-A
+  strawmen use its one-hop subclass,
+  :class:`~repro.baselines.onehop.OneHopTransport`).
 * :class:`~repro.net.peer.AsyncioTransport` — real frames over TCP
   sockets between OS processes (:mod:`repro.net.peer`); wall clock,
   event-loop timers, one-hop routing over a full-membership ring
@@ -23,6 +25,6 @@ This package is the only place in the tree allowed to import ``socket``,
 ``asyncio`` or ``threading`` (simlint rule D012).
 """
 
-from .transport import SimTransport, Transport, TransportHandle
+from .transport import Transport, TransportHandle
 
-__all__ = ["Transport", "TransportHandle", "SimTransport"]
+__all__ = ["Transport", "TransportHandle"]

@@ -1,4 +1,4 @@
-"""The ``Transport`` seam and its simulator-backed implementation.
+"""The ``Transport`` seam between the protocol brain and a message fabric.
 
 Everything the dispatch layer needs from a message fabric fits in one
 small surface: a clock, a timer wheel, four send primitives and two
@@ -6,7 +6,10 @@ observability accessors.  The role services, :class:`NodeRuntime` and
 :class:`ReliableSender` are written against this surface only — they
 must never import :class:`repro.sim.network.Network` directly — so the
 same protocol brain runs unchanged inside the discrete-event simulator
-and as an OS process over real sockets (DESIGN.md §12).
+and as an OS process over real sockets (DESIGN.md §12).  The fabrics
+that implement it are :class:`~repro.chord.dht.DhtOverlay` in the
+simulator (and its one-hop subclass for the Sec. IV-A strawmen) and
+:class:`~repro.net.peer.AsyncioTransport` over sockets.
 
 Contract notes shared by all implementations:
 
@@ -25,13 +28,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..chord.dht import DhtOverlay
     from ..chord.node import ChordNode
-    from ..core.multicast import RangeMulticast
-    from ..sim.engine import Simulator
-    from ..sim.network import Message, MessageStats, Network
+    from ..sim.network import Message, MessageStats
 
-__all__ = ["Transport", "TransportHandle", "SimTransport"]
+__all__ = ["Transport", "TransportHandle"]
 
 #: ``on_delivered`` continuation signature shared by the send primitives
 DeliveredFn = Callable[["ChordNode", "Message"], None]
@@ -109,106 +109,3 @@ class Transport(Protocol):
         span_kind: str,
     ) -> int:
         """Forward a range-multicast spread from a covered node."""
-
-
-class SimTransport:
-    """The discrete-event fabric behind the :class:`Transport` surface.
-
-    A zero-logic adapter: every call delegates to the simulator, overlay
-    or multicast object the system already built, preserving event order
-    exactly — the lossy seed-11 byte-identity pin (PERFORMANCE.md) holds
-    across the seam refactor because this class adds no behaviour.
-
-    ``stats`` and ``tracer`` are live properties rather than captured
-    references: ``StreamIndexSystem.reset_stats`` swaps a fresh
-    :class:`MessageStats` onto the network mid-run, and the seam must
-    observe the swap.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        network: "Network",
-        overlay: "DhtOverlay",
-        multicast: "RangeMulticast",
-    ) -> None:
-        self._sim = sim
-        self._network = network
-        self._overlay = overlay
-        self._multicast = multicast
-
-    # -- clock ---------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._sim.now
-
-    def schedule(
-        self, delay_ms: float, fn: Callable[..., None], *args: Any
-    ) -> TransportHandle:
-        return self._sim.schedule(delay_ms, fn, *args)
-
-    # -- observability -------------------------------------------------
-    @property
-    def stats(self) -> "MessageStats":
-        return self._network.stats
-
-    @property
-    def tracer(self) -> Optional[Any]:
-        return self._network.tracer
-
-    # -- send primitives -----------------------------------------------
-    def route(
-        self,
-        node: "ChordNode",
-        msg: "Message",
-        *,
-        transit_kind: str,
-        on_delivered: Optional[DeliveredFn] = None,
-    ) -> None:
-        self._overlay.route(
-            node, msg, transit_kind=transit_kind, on_delivered=on_delivered
-        )
-
-    def send_direct(
-        self,
-        node: "ChordNode",
-        target: "ChordNode",
-        msg: "Message",
-        *,
-        on_delivered: Optional[DeliveredFn] = None,
-    ) -> None:
-        self._overlay.send_direct(node, target, msg, on_delivered=on_delivered)
-
-    def disseminate(
-        self,
-        node: "ChordNode",
-        payload: Any,
-        *,
-        kind: str,
-        transit_kind: str,
-        low_key: int,
-        high_key: int,
-        on_delivered: Optional[DeliveredFn] = None,
-    ) -> "Message":
-        return self._multicast.disseminate(
-            node,
-            payload,
-            kind=kind,
-            transit_kind=transit_kind,
-            low_key=low_key,
-            high_key=high_key,
-            on_delivered=on_delivered,
-        )
-
-    def continue_span(
-        self,
-        node: "ChordNode",
-        msg: "Message",
-        *,
-        low_key: int,
-        high_key: int,
-        span_kind: str,
-    ) -> int:
-        return self._multicast.continue_span(
-            node, msg, low_key=low_key, high_key=high_key, span_kind=span_kind
-        )

@@ -425,7 +425,7 @@ def test_app_is_what_the_overlay_delivers_to_and_each_roles_runtime():
     system = small_system()
     for i, app in enumerate(system.all_apps):
         assert system.app(i) is app
-        assert system.overlay._apps[app.node_id] is app
+        assert system.transport._apps[app.node_id] is app
         assert all(service.runtime is app for service in app.services)
         assert (
             app.holder,

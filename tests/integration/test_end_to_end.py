@@ -152,7 +152,7 @@ def test_churn_system_keeps_working():
     for v in victims:
         # stop their stream processes to avoid dead sources spamming
         system.stabilizer.fail(v.node)
-        system.overlay.unregister_app(v.node)
+        system.transport.unregister_app(v.node)
     system.stabilizer.stabilize_until_converged()
     client = system.app(0)
     live_source = next(

@@ -4,7 +4,7 @@ The tentpole guarantee of the transport seam is that the *same* role
 services produce the *same* protocol behaviour whether they run inside
 the deterministic simulator or as socket-connected peers.  This test
 runs one scripted workload twice — once on a 3-node ``StreamIndexSystem``
-(SimTransport) and once on a 3-node in-process asyncio cluster
+(DhtOverlay) and once on a 3-node in-process asyncio cluster
 (AsyncioTransport over 127.0.0.1) — and requires identical index
 placements and identical similarity-query answers.
 
