@@ -227,11 +227,20 @@ class PeerNode:
         self.host = host
         self.port = port
         self.config = config if config is not None else MiddlewareConfig()
-        if self.config.m > 63:
+        cfg = self.config
+        if cfg.m > 63:
             raise ValueError(
-                f"m={self.config.m}: the wire carries ring identifiers as int64, "
+                f"m={cfg.m}: the wire carries ring identifiers as int64, "
                 "so a socket peer needs m <= 63"
             )
+        # knobs the simulator runs but a peer would silently not
+        if cfg.loss_rate or cfg.duplicate_rate:
+            raise ValueError("a socket peer has no fault injector: loss_rate and "
+                             "duplicate_rate must be 0")
+        if cfg.virtual_nodes > 1:
+            raise ValueError("a socket peer holds one ring token: virtual_nodes must be 1")
+        if cfg.consistency == "quorum":
+            raise ValueError("quorum reads do not run over sockets: use consistency='eventual'")
         self.ring = ChordRing(m=self.config.m)
         self.node = self.ring.create_node(name)
         self.ring.build()
