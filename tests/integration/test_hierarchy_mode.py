@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.core import KIND, MiddlewareConfig, SimilarityQuery, StreamIndexSystem, WorkloadConfig
 from repro.core import hierarchy as hierarchy_module
+from repro.core.mbr import MBR
 from repro.streams.generators import RandomWalkGenerator
 
 
@@ -190,6 +191,36 @@ def test_hierarchy_entries_expire_with_bspan():
     system.run(2_000.0)
     assert system.network.stats.originations[KIND.RESPONSE] == responses + 1
     assert client.similarity_results[qid] == []
+
+
+def test_fitting_updates_keep_the_whole_leader_chain_live(monkeypatch):
+    """A stream whose updates all fit below still renews every level:
+    each entry goes up again once half the lease its last push carried
+    is spent, so the upper levels never lapse while the stream lives."""
+    monkeypatch.setattr(hierarchy_module, "BASE_MARGIN", 10.0)
+    bspan = 10_000.0
+    system = StreamIndexSystem(
+        16,
+        hier_config(workload=WorkloadConfig(bspan_ms=bspan, qrate_per_s=0.0, nper_ms=500.0)),
+        seed=61,
+    )
+    # position 5 leads nothing: its entries climb to positions 4 and 0
+    app = system.app_by_id(system.ring.node_ids[5])
+    holders = [app.node_id] + [c.leader for c in app.hierarchy._chain()]
+    assert [system.ring.node_ids.index(h) for h in holders] == [5, 4, 0]
+    rng = np.random.default_rng(3)
+    while system.sim.now < 2.5 * bspan:
+        low = rng.uniform(0.0, 0.5, size=4)
+        mbr = MBR(low=low, high=low + 0.1, stream_id="s", count=1, created=system.sim.now)
+        app.hierarchy.publish(mbr, system.sim.now + bspan)
+        system.run(1_000.0)
+    now = system.sim.now
+    for level, holder in enumerate(holders):
+        entry = system.app_by_id(holder).hierarchy.store[("s", level)]
+        assert entry.expires > now, f"level {level} lapsed"
+    # the renewal is bounded: about two updates per level per lease
+    pushes = system.network.stats.sends_by_kind[KIND.HIER_UPDATE]
+    assert pushes <= 2 * 3 * (len(holders) - 1)
 
 
 def test_join_feeds_the_newcomer_into_the_root():
