@@ -5,9 +5,10 @@ ships everything to one center, or asks every node, knows all its
 nodes.  :class:`OneHopTransport` is the simulator's
 :class:`~repro.chord.dht.DhtOverlay` with its network, fault injector
 and accounting, but it replaces multi-hop Chord routing by one
-:meth:`~repro.chord.dht.DhtOverlay.send_direct` to the key's owner.  That, if anything, flatters the strawmen: the comparison is
-about where load lands and how many messages an event costs, not
-routing stretch.
+:meth:`~repro.chord.dht.DhtOverlay.send_direct` to the key's owner.
+That, if anything, flatters the strawmen: the comparison is about
+where load lands and how many messages an event costs, not routing
+stretch.
 """
 
 from __future__ import annotations

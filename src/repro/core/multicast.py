@@ -49,10 +49,10 @@ def middle_key(low_key: int, high_key: int, modulus: int) -> int:
 class RangeMulticast:
     """Delivers a message to every node covering a circular key range."""
 
-    def __init__(self, fabric, strategy: str = "sequential") -> None:
+    def __init__(self, overlay, strategy: str = "sequential") -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
-        self.fabric = fabric
+        self.overlay = overlay
         self.strategy = strategy
 
     # ------------------------------------------------------------------
@@ -60,7 +60,7 @@ class RangeMulticast:
         """Where the initial overlay-routed message is sent."""
         if self.strategy == "sequential":
             return low_key
-        return middle_key(low_key, high_key, self.fabric.ring.space.size)
+        return middle_key(low_key, high_key, self.overlay.ring.space.size)
 
     def disseminate(
         self,
@@ -85,7 +85,7 @@ class RangeMulticast:
             origin=src.node_id,
             dest_key=self.entry_key(low_key, high_key),
         )
-        self.fabric.route(src, msg, transit_kind=transit_kind, on_delivered=on_delivered)
+        self.overlay.route(src, msg, transit_kind=transit_kind, on_delivered=on_delivered)
         return msg
 
     def continue_span(
@@ -144,7 +144,7 @@ class RangeMulticast:
             return False
         if (succ.node_id - low_key) % size <= walked:
             return False  # would wrap past the start of the walk
-        self.fabric.send_direct(node, succ, msg.derive(span_kind, tag="up"))
+        self.overlay.send_direct(node, succ, msg.derive(span_kind, tag="up"))
         return True
 
     def _forward_down(
@@ -158,5 +158,5 @@ class RangeMulticast:
         pred = node.predecessor
         if pred is None or not pred.alive:
             return False
-        self.fabric.send_direct(node, pred, copy)
+        self.overlay.send_direct(node, pred, copy)
         return True
